@@ -3,9 +3,9 @@
 Recurrence of a site is divergence of the time integral of its return
 probability.  The integral splits over the channel eigenbasis into scalar
 pieces with exactly computable Laplace transforms, so classification
-needs no numerical time integration.  The optimizer solves the
-initial-state problem in closed form for PQ channels and falls back to a
-Bloch-ball search otherwise.
+needs no numerical time integration.  The goal-state probability is
+affine in the Bloch vector of the initial density, so the optimizer
+returns the exact extremal states for every Hermitian channel.
 """
 
 from __future__ import annotations
@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    EigenChannelBasis,
-    PqParts,
-    QubitDensity,
-    SuperOperator,
-    ValidationError,
-    detect_pq,
-    eigenbasis,
-)
+from .channels import EigenChannelBasis, QubitDensity, ValidationError
 from .generators import ABSORBING, Geometry
-from .kernels import GoalState, KernelRequest, scalar_kernel, state_probability, window_margin
+from .kernels import GoalState, KernelRequest, _probability_row, scalar_kernel, window_margin
 from .linalg import vec
 from .specfun import bessel_laplace
 from .spectra import scalar_measure, polynomials
@@ -36,7 +28,6 @@ __all__ = [
     "recurrence_classify",
     "absorption_deficit",
     "optimal_initial_state",
-    "bloch_ball_samples",
 ]
 
 RECURRENT = "recurrent"
@@ -151,60 +142,39 @@ class OptimalStates:
     rho_minus: QubitDensity
     value_plus: float
     value_minus: float
-    coefficients: tuple  # (a, b, c, d)
+    coefficients: tuple  # (g_x, g_y, g_z, d) of f(r) = d + g.r
     degenerate: bool = False
-    method: str = "closed_form"
+    method: str = "closed_form"  # the only method; kept in the output schema
 
 
-def _pq_lambdas(parts: PqParts):
-    """The four eigenvalues in the fixed PQ order (trace, population,
-    coherence-sum, coherence-difference)."""
-    lam1 = float((parts.p_part[0, 0] + parts.p_part[0, 1]).real)
-    lam2 = float((parts.p_part[0, 0] - parts.p_part[0, 1]).real)
-    lam3 = float((parts.q_part[0, 0] + parts.q_part[0, 1]).real)
-    lam4 = float((parts.q_part[0, 0] - parts.q_part[0, 1]).real)
-    return lam1, lam2, lam3, lam4
-
-
-def bloch_ball_samples(count: int, seed: int = 20260825) -> np.ndarray:
-    """Quasi-uniform sample of the closed Bloch ball (count x 3 array)."""
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(count, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    radii = rng.random(count) ** (1.0 / 3.0)
-    return pts * radii[:, None]
+# Rows: vec(I/2), then the vec'd change of rho per unit step along the
+# Bloch coordinates X, Y, Z (rho = [[1+X, Y+iZ], [Y-iZ, 1-X]]/2).
+_BLOCH_FRAME = 0.5 * np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1j, -1j, 0]]
+)
 
 
 def optimal_initial_state(
-    s: SuperOperator,
+    basis: EigenChannelBasis,
     g: Geometry,
     i: int,
     j: int,
     t: float,
     goal: GoalState,
-    samples: int = 2000,
 ) -> OptimalStates:
     """Initial densities extremizing the goal-state probability at (i, t).
 
-    PQ channels with a real representation admit the closed-form solution
-    +-(a, b, c)/sqrt(a^2+b^2+c^2) in Bloch coordinates; other Hermitian
-    channels are handled by a Bloch-ball search and labelled "numeric".
+    The probability is linear in the initial density, so in Bloch
+    coordinates it is f(r) = d + g.r and the extrema over the ball are
+    d +- |g|, attained at r = +-g/|g|.  d and g are read off one
+    probability row, which holds for every channel with a Hermitian
+    representation.  When |g| vanishes every density is optimal and the
+    centre of the ball is returned with ``degenerate`` set.
     """
-    parts = detect_pq(s)
-    basis = eigenbasis(s)
-    if parts is None or np.abs(np.asarray(s.rep).imag).max() > 1e-12:
-        return _optimal_numeric(basis, g, i, j, t, goal, samples)
-    lam1, lam2, lam3, lam4 = _pq_lambdas(parts)
-
-    def kernel(lam):
-        return scalar_kernel(KernelRequest(geometry=g, lam=lam, i=i, j=j, t=t))
-
-    psi1, psi2 = goal.psi
-    a = (abs(psi1) ** 2 - 0.5) * kernel(lam2)
-    b = (np.conj(psi1) * psi2).real * kernel(lam3)
-    c = (np.conj(psi1) * psi2).imag * kernel(lam4)
-    d = 0.5 * kernel(lam1)
-    norm = math.sqrt(a * a + b * b + c * c)
+    row = _probability_row(basis, g, i, j, t, goal)
+    d, gx, gy, gz = (float(v) for v in (_BLOCH_FRAME @ row).real)
+    coefficients = (gx, gy, gz, d)
+    norm = math.sqrt(gx * gx + gy * gy + gz * gz)
     if norm <= 1e-14:
         center = QubitDensity.from_bloch(0.0, 0.0, 0.0)
         return OptimalStates(
@@ -212,40 +182,14 @@ def optimal_initial_state(
             rho_minus=center,
             value_plus=d,
             value_minus=d,
-            coefficients=(a, b, c, d),
+            coefficients=coefficients,
             degenerate=True,
         )
-    direction = np.array([a, b, c]) / norm
-    rho_plus = QubitDensity.from_bloch(*direction)
-    rho_minus = QubitDensity.from_bloch(*(-direction))
+    direction = np.array([gx, gy, gz]) / norm
     return OptimalStates(
-        rho_plus=rho_plus,
-        rho_minus=rho_minus,
+        rho_plus=QubitDensity.from_bloch(*direction),
+        rho_minus=QubitDensity.from_bloch(*(-direction)),
         value_plus=d + norm,
         value_minus=d - norm,
-        coefficients=(a, b, c, d),
-    )
-
-
-def _optimal_numeric(basis, g, i, j, t, goal, samples) -> OptimalStates:
-    # The objective is affine in the Bloch vector, so the extrema lie on
-    # the sphere; project the quasi-uniform ball samples outward.
-    pts = bloch_ball_samples(samples)
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    best_hi, best_lo = None, None
-    val_hi, val_lo = -math.inf, math.inf
-    for p in pts:
-        rho = QubitDensity.from_bloch(*p)
-        v = state_probability(basis, g, rho, j, i, goal, t)
-        if v > val_hi:
-            val_hi, best_hi = v, rho
-        if v < val_lo:
-            val_lo, best_lo = v, rho
-    return OptimalStates(
-        rho_plus=best_hi,
-        rho_minus=best_lo,
-        value_plus=val_hi,
-        value_minus=val_lo,
-        coefficients=(math.nan, math.nan, math.nan, math.nan),
-        method="numeric",
+        coefficients=coefficients,
     )

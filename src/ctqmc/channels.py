@@ -189,7 +189,8 @@ def eigenbasis(s: SuperOperator) -> EigenChannelBasis:
         raise ValidationError(
             f"channel eigenvalue {lambdas[np.abs(lambdas).argmax()]:.6f} exceeds 1/2"
         )
-    return EigenChannelBasis(basis=decomp.basis, lambdas=lambdas)
+    # The solver can land an eigenvalue of exactly 1/2 an ulp outside.
+    return EigenChannelBasis(basis=decomp.basis, lambdas=np.clip(lambdas, -0.5, 0.5))
 
 
 def lindblad_decompose(kraus, x=None) -> LindbladDecomposition:

@@ -1,8 +1,9 @@
 """Command-line front end: JSON config in, deterministic CSV/JSON out.
 
 Subcommands: channel-inspect, prob, recurrence, optimize, measure,
-oracle-compare, figure.  Exit codes: 0 success, 2 validation error,
-3 numeric-tolerance failure in an oracle comparison.
+oracle-compare, figure.  Exit codes: 0 success, 2 invalid input (with a
+one-line ``error:`` message on stderr), 3 numeric-tolerance failure in an
+oracle comparison.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .analysis import optimal_initial_state, recurrence_classify
 from .channels import (
     KrausChannel,
     QubitDensity,
-    UnsupportedChannelError,
     ValidationError,
     detect_pq,
     eigenbasis,
@@ -146,6 +146,10 @@ def _emit(rows, columns, meta, args):
     else:
         doc = {"meta": meta, "series": rows}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    _write(text, args)
+
+
+def _write(text, args):
     if args.output:
         with open(args.output, "w", newline="") as fh:
             fh.write(text)
@@ -174,13 +178,8 @@ def cmd_channel_inspect(config, args) -> int:
         report["eigenbasis"] = [
             [[v.real, v.imag] for v in row] for row in basis.basis
         ]
-    text = json.dumps({"meta": _meta(config, args), "report": report},
-                      sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps({"meta": _meta(config, args), "report": report},
+                      sort_keys=True, indent=2) + "\n", args)
     return 0
 
 
@@ -236,14 +235,14 @@ def cmd_recurrence(config, args) -> int:
 def cmd_optimize(config, args) -> int:
     ch = channel_from_config(config["channel"])
     g = geometry_from_config(config["geometry"])
-    s = superop_of(ch)
+    basis = eigenbasis(superop_of(ch))
     goal = goal_from_config(config["goal"])
     i = int(config["sites"]["i"])
     j = int(config["sites"]["j"])
     grid = time_grid_from_config(config.get("time_grid", {}))
     rows = []
     for t in grid:
-        opt = optimal_initial_state(s, g, i, j, float(t), goal)
+        opt = optimal_initial_state(basis, g, i, j, float(t), goal)
         xp, yp, zp = opt.rho_plus.bloch
         xm, ym, zm = opt.rho_minus.bloch
         rows.append(
@@ -358,11 +357,10 @@ def cmd_figure(config, args) -> int:
     if name == "fig1":
         ch = channel_from_config(setup["channel"])
         g = geometry_from_config(setup["geometry"])
-        s = superop_of(ch)
-        basis = eigenbasis(s)
+        basis = eigenbasis(superop_of(ch))
         goal = goal_from_config(setup["goal"])
         i, j = setup["sites"]["i"], setup["sites"]["j"]
-        opt = optimal_initial_state(s, g, i, j, 1.0, goal)
+        opt = optimal_initial_state(basis, g, i, j, 1.0, goal)
         densities = {
             "rho_plus": opt.rho_plus,
             "rho_minus": opt.rho_minus,
@@ -432,13 +430,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
     try:
+        config = {}
+        if args.config:
+            with open(args.config) as fh:
+                config = json.load(fh)
         return _COMMANDS[args.command](config, args)
-    except (ValidationError, UnsupportedChannelError, KeyError) as exc:
+    # Bad input: unreadable config, unwritable output, malformed JSON,
+    # missing, mistyped or invalid fields, times too long to represent.
+    except (OSError, ValueError, TypeError, AttributeError, KeyError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -137,13 +137,33 @@ def km_quadrature_oracle(req: KernelRequest, points: int = 200) -> float:
     return m.integrate(integrand, points=points)
 
 
-def _kernel_diag(basis: EigenChannelBasis, g: Geometry, i: int, j: int, t: float):
-    return np.array(
+_VEC_EYE = vec(np.eye(2, dtype=complex))
+
+
+def _probability_row(
+    basis: EigenChannelBasis,
+    g: Geometry,
+    i: int,
+    j: int,
+    t: float,
+    goal: GoalState | None = None,
+) -> np.ndarray:
+    """Row r with probability Re(r @ vec(rho)) for a walk started at (j, rho).
+
+    r = e . proj . B . diag(K) . B*, where e = vec(I) takes the trace,
+    proj projects on the goal state (the identity for the site
+    probability), B is the channel eigenbasis and K holds the four scalar
+    kernels from j to i at time t.
+    """
+    b = basis.basis
+    diag = np.array(
         [
             scalar_kernel(KernelRequest(geometry=g, lam=float(l), i=i, j=j, t=t))
             for l in basis.lambdas
         ]
     )
+    e = _VEC_EYE if goal is None else _VEC_EYE @ kron(goal.gamma, goal.gamma.conj())
+    return ((e @ b) * diag) @ b.conj().T
 
 
 def site_probability(
@@ -155,10 +175,7 @@ def site_probability(
     t: float,
 ) -> float:
     """Probability of finding the walk at site i at time t, started at (j, rho)."""
-    b = basis.basis
-    diag = _kernel_diag(basis, g, i, j, t)
-    v = b @ (diag * (b.conj().T @ vec(rho.matrix)))
-    return float(np.trace(unvec(v, 2, 2)).real)
+    return float((_probability_row(basis, g, i, j, t) @ vec(rho.matrix)).real)
 
 
 def state_probability(
@@ -171,11 +188,7 @@ def state_probability(
     t: float,
 ) -> float:
     """Probability of the goal-state measurement succeeding at site i, time t."""
-    b = basis.basis
-    diag = _kernel_diag(basis, g, i, j, t)
-    proj = kron(goal.gamma, goal.gamma.conj())
-    v = proj @ (b @ (diag * (b.conj().T @ vec(rho.matrix))))
-    return float(np.trace(unvec(v, 2, 2)).real)
+    return float((_probability_row(basis, g, i, j, t, goal) @ vec(rho.matrix)).real)
 
 
 def window_margin(t: float) -> int:

@@ -9,7 +9,6 @@ import scipy.integrate
 
 from ctqmc.analysis import (
     absorption_deficit,
-    bloch_ball_samples,
     optimal_initial_state,
     recurrence_classify,
 )
@@ -40,6 +39,7 @@ from ctqmc.spectra import (
     scalar_measure,
     spectral_matrix_line,
 )
+from oracles import bloch_ball_samples
 
 ABSORBING = Geometry.half_line("absorbing")
 REFLECTING = Geometry.half_line("reflecting")
@@ -126,7 +126,7 @@ def test_criterion_03_recurrence_integrals():
 def test_criterion_04_figure1_endpoints():
     s = superop_of(depolarizing(1.0 / 3.0))
     basis = eigenbasis(s)
-    opt = optimal_initial_state(s, ABSORBING, 1, 1, 1.0, GOAL)
+    opt = optimal_initial_state(basis, ABSORBING, 1, 1, 1.0, GOAL)
     cases = {
         "rho_plus": (opt.rho_plus, 1.0),
         "rho_minus": (opt.rho_minus, 0.0),
@@ -220,20 +220,20 @@ def test_criterion_07_segment_example():
 def test_criterion_08_optimization():
     s = superop_of(pq_channel(5.0 / 6.0, 2.0 / 3.0, 0.0))
     basis = eigenbasis(s)
-    opt = optimal_initial_state(s, ABSORBING, 2, 1, 1.5, GOAL)
+    opt = optimal_initial_state(basis, ABSORBING, 2, 1, 1.5, GOAL)
     best = max(
         state_probability(basis, ABSORBING, QubitDensity.from_bloch(*p), 1, 2,
                           GOAL, 1.5)
         for p in bloch_ball_samples(10000)
     )
     assert opt.value_plus >= best - 1e-9
-    s_dep = superop_of(depolarizing(1.0 / 3.0))
+    basis_dep = eigenbasis(superop_of(depolarizing(1.0 / 3.0)))
     ref_plus = ref_minus = None
     worst = 0.0
     for i in range(5):
         for j in range(5):
             for t in (0.5, 1.0, 2.0, 4.0, 8.0):
-                o = optimal_initial_state(s_dep, ABSORBING, i, j, t, GOAL)
+                o = optimal_initial_state(basis_dep, ABSORBING, i, j, t, GOAL)
                 if ref_plus is None:
                     ref_plus = np.array(o.rho_plus.bloch)
                     ref_minus = np.array(o.rho_minus.bloch)

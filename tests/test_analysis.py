@@ -7,7 +7,6 @@ import scipy.special
 
 from ctqmc.analysis import (
     absorption_deficit,
-    bloch_ball_samples,
     optimal_initial_state,
     recurrence_classify,
 )
@@ -15,6 +14,7 @@ from ctqmc.channels import QubitDensity, ValidationError, eigenbasis, superop_of
 from ctqmc.generators import Geometry
 from ctqmc.kernels import GoalState, state_probability, evolve_oracle
 from ctqmc.presets import density_preset, depolarizing, pq_channel, segment_example
+from oracles import bloch_ball_samples, pq_optimum
 
 ABSORBING = Geometry.half_line("absorbing")
 REFLECTING = Geometry.half_line("reflecting")
@@ -111,9 +111,8 @@ def test_absorption_deficit_matches_oracle_loss():
 
 
 def test_optimal_state_beats_samples():
-    s = superop_of(pq_channel(5.0 / 6.0, 2.0 / 3.0, 0.0))
-    basis = eigenbasis(s)
-    opt = optimal_initial_state(s, ABSORBING, 2, 1, 1.5, GOAL)
+    basis = eigenbasis(superop_of(pq_channel(5.0 / 6.0, 2.0 / 3.0, 0.0)))
+    opt = optimal_initial_state(basis, ABSORBING, 2, 1, 1.5, GOAL)
     assert opt.method == "closed_form"
     pts = bloch_ball_samples(10000)
     best = max(
@@ -131,9 +130,8 @@ def test_optimal_state_beats_samples():
 
 
 def test_optimal_state_values_are_attained():
-    s = superop_of(pq_channel(5.0 / 6.0, 2.0 / 3.0, 0.0))
-    basis = eigenbasis(s)
-    opt = optimal_initial_state(s, REFLECTING, 1, 0, 2.0, GOAL)
+    basis = eigenbasis(superop_of(pq_channel(5.0 / 6.0, 2.0 / 3.0, 0.0)))
+    opt = optimal_initial_state(basis, REFLECTING, 1, 0, 2.0, GOAL)
     assert state_probability(
         basis, REFLECTING, opt.rho_plus, 0, 1, GOAL, 2.0
     ) == pytest.approx(opt.value_plus, abs=1e-12)
@@ -143,27 +141,57 @@ def test_optimal_state_values_are_attained():
 
 
 def test_depolarizing_optimum_is_goal_projector():
-    s = superop_of(depolarizing(1.0 / 3.0))
+    basis = eigenbasis(superop_of(depolarizing(1.0 / 3.0)))
     for t in (0.5, 1.0, 3.0):
-        opt = optimal_initial_state(s, ABSORBING, 1, 1, t, GOAL)
+        opt = optimal_initial_state(basis, ABSORBING, 1, 1, t, GOAL)
         assert np.abs(opt.rho_plus.matrix - GOAL.gamma).max() < 1e-12
 
 
 def test_degenerate_optimum_flagged():
-    s = superop_of(depolarizing(1.0 / 3.0))
+    basis = eigenbasis(superop_of(depolarizing(1.0 / 3.0)))
     # at t = 0 with i != j every kernel vanishes -> a = b = c = 0
-    opt = optimal_initial_state(s, ABSORBING, 1, 0, 0.0, GOAL)
+    opt = optimal_initial_state(basis, ABSORBING, 1, 0, 0.0, GOAL)
     assert opt.degenerate
     assert opt.value_plus == opt.value_minus
 
 
-def test_numeric_fallback_for_non_pq():
-    s = superop_of(segment_example())
+def test_exact_optimum_for_non_pq():
+    basis = eigenbasis(superop_of(segment_example()))
+    g = Geometry.segment(5)
+    opt = optimal_initial_state(basis, g, 1, 0, 1.0, GOAL)
+    assert opt.method == "closed_form"
+    assert not opt.degenerate
+    for rho, value in ((opt.rho_plus, opt.value_plus), (opt.rho_minus, opt.value_minus)):
+        assert abs(state_probability(basis, g, rho, 0, 1, GOAL, 1.0) - value) <= 1e-12
+    samples = [
+        state_probability(basis, g, QubitDensity.from_bloch(*p), 0, 1, GOAL, 1.0)
+        for p in bloch_ball_samples(10000)
+    ]
+    assert opt.value_plus >= max(samples)
+    assert opt.value_minus <= min(samples)
+    assert all(math.isfinite(c) for c in opt.coefficients)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        depolarizing(1.0 / 3.0),
+        depolarizing(0.7),
+        pq_channel(5.0 / 6.0, 2.0 / 3.0, 0.0),
+        pq_channel(0.8, 0.5, 0.1),
+        pq_channel(0.2, 0.1, -0.6),
+    ],
+)
+def test_optimum_matches_pq_closed_form(channel):
+    s = superop_of(channel)
     basis = eigenbasis(s)
-    opt = optimal_initial_state(s, Geometry.segment(5), 1, 2, 1.0, GOAL, samples=400)
-    assert opt.method == "numeric"
-    val = state_probability(
-        basis, Geometry.segment(5), opt.rho_plus, 2, 1, GOAL, 1.0
-    )
-    assert val == pytest.approx(opt.value_plus)
-    assert opt.value_plus >= opt.value_minus
+    for g in (ABSORBING, REFLECTING, LINE):
+        for i, j in ((0, 0), (1, 0), (2, 3)):
+            for t in (0.0, 0.5, 2.0, 9.0, 30.0):
+                opt = optimal_initial_state(basis, g, i, j, t, GOAL)
+                a, b, c, d = pq_optimum(s, g, i, j, t, GOAL)
+                norm = math.sqrt(a * a + b * b + c * c)
+                assert np.abs(np.subtract(opt.coefficients, (a, b, c, d))).max() <= 1e-14
+                assert abs(opt.value_plus - (d + norm)) <= 1e-14
+                assert abs(opt.value_minus - (d - norm)) <= 1e-14
+                assert opt.method == "closed_form"

@@ -1,9 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from ctqmc.channels import eigenbasis, superop_of
 from ctqmc.cli import main
+from ctqmc.generators import Geometry
+from ctqmc.kernels import KernelRequest
+from ctqmc.presets import depolarizing
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -123,3 +128,42 @@ def test_validation_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {"channel": {"preset": "nonsense"}})
     assert main(["--config", cfg, "channel-inspect"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_lambda_rounding_accepted(tmp_path, capsys):
+    # For some strengths the eigensolver lands the eigenvalue 1/2 one ulp
+    # above it; every such channel must still run.
+    for s in np.linspace(0.30, 0.36, 601):
+        basis = eigenbasis(superop_of(depolarizing(float(s))))
+        assert np.abs(basis.lambdas).max() <= 0.5
+        for lam in basis.lambdas:
+            KernelRequest(geometry=Geometry.half_line("absorbing"), lam=float(lam),
+                          i=1, j=0, t=1.0)
+    cfg = write_config(tmp_path, dict(BASE, channel={"preset": "depolarizing",
+                                                     "s": 0.3053}))
+    assert main(["--config", cfg, "prob"]) == 0
+    assert capsys.readouterr().out.startswith("t,value\n")
+
+
+@pytest.mark.parametrize("case", ["bad_json", "missing_config", "wrong_type",
+                                  "unwritable_output", "overflow"])
+def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, case):
+    doc = BASE
+    if case == "wrong_type":
+        doc = dict(BASE, channel={"preset": "depolarizing", "s": "abc"})
+    elif case == "overflow":
+        doc = dict(BASE, geometry={"kind": "line"},
+                   time_grid={"start": 800.0, "stop": 800.0, "points": 1})
+    cfg = write_config(tmp_path, doc)
+    if case == "bad_json":
+        (tmp_path / "config.json").write_text('{"channel": {"preset": ')
+    elif case == "missing_config":
+        cfg = str(tmp_path / "absent.json")
+    argv = ["--config", cfg, "prob"]
+    if case == "unwritable_output":
+        argv = ["--output", str(tmp_path / "no_such_dir" / "out.csv")] + argv
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
