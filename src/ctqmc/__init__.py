@@ -16,7 +16,6 @@ from .channels import (
     EigenChannelBasis,
     KrausChannel,
     LindbladDecomposition,
-    PqParts,
     QubitDensity,
     SuperOperator,
     UnsupportedChannelError,
@@ -29,12 +28,10 @@ from .channels import (
 from .generators import (
     BlockTridiagonalOperator,
     Geometry,
-    ScalarJacobi,
     SymmetrizerSequence,
     assemble_generator,
     check_symmetrizable,
     scalar_jacobi_matrix,
-    scalar_reduction,
 )
 from .kernels import (
     GoalState,

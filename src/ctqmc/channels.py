@@ -5,8 +5,9 @@ T = sum_i V_i . V_i* with the normalization sum_i V_i* V_i = I/2, so that
 the block tridiagonal operator built from T generates a trace-preserving
 semigroup.  This module ingests Kraus matrices, forms the 4x4 matrix
 representation sum_i V_i (x) conj(V_i) acting on row-vectorized densities,
-detects the diagonal/antidiagonal (PQ) structure, diagonalizes Hermitian
-representations, and decomposes Phi - I into standard Lindblad form.
+decides whether it has the population/coherence (PQ) block structure,
+diagonalizes Hermitian representations, and decomposes Phi - I into
+standard Lindblad form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "UnsupportedChannelError",
     "KrausChannel",
     "SuperOperator",
-    "PqParts",
     "EigenChannelBasis",
     "QubitDensity",
     "LindbladDecomposition",
@@ -72,23 +72,10 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class SuperOperator:
-    """4x4 representation sum_i V_i (x) conj(V_i) with structure flags."""
+    """4x4 representation sum_i V_i (x) conj(V_i) with its Hermiticity flag."""
 
     rep: np.ndarray
     is_hermitian: bool
-    is_pq: bool
-
-
-@dataclass(frozen=True)
-class PqParts:
-    """P (population) and Q (coherence) blocks of a PQ representation.
-
-    Both carry the channel's 1/2 normalization; 2*p_part is column
-    stochastic.
-    """
-
-    p_part: np.ndarray
-    q_part: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,29 +138,20 @@ def superop_of(ch: KrausChannel) -> SuperOperator:
     """Matrix representation of X -> sum_i V_i X V_i* on vec'd matrices."""
     rep = sum(kron(v, v.conj()) for v in ch.kraus)
     is_hermitian = bool(np.abs(rep - rep.conj().T).max() <= 1e-10)
-    is_pq = _has_pq_pattern(rep, 1e-10)
-    return SuperOperator(rep=rep, is_hermitian=is_hermitian, is_pq=is_pq)
+    return SuperOperator(rep=rep, is_hermitian=is_hermitian)
 
 
-_PQ_POSITIONS = {(0, 0), (0, 3), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2)}
+_POPULATION = np.array([True, False, False, True])
+_OFF_PQ = _POPULATION[:, None] != _POPULATION[None, :]
 
 
-def _has_pq_pattern(rep: np.ndarray, tol: float) -> bool:
-    for i in range(4):
-        for j in range(4):
-            if (i, j) not in _PQ_POSITIONS and abs(rep[i, j]) > tol:
-                return False
-    return True
+def detect_pq(s: SuperOperator) -> bool:
+    """Whether the representation has PQ sparsity.
 
-
-def detect_pq(s: SuperOperator) -> PqParts | None:
-    """Extract P and Q blocks if the representation has PQ sparsity."""
-    rep = s.rep
-    if not _has_pq_pattern(rep, 1e-12):
-        return None
-    p_part = np.array([[rep[0, 0], rep[0, 3]], [rep[3, 0], rep[3, 3]]])
-    q_part = np.array([[rep[1, 1], rep[1, 2]], [rep[2, 1], rep[2, 2]]])
-    return PqParts(p_part=p_part, q_part=q_part)
+    The P (population) block sits on rows and columns 0 and 3, the Q
+    (coherence) block on 1 and 2; every other entry is at most 1e-12.
+    """
+    return bool(np.abs(s.rep[_OFF_PQ]).max() <= 1e-12)
 
 
 def eigenbasis(s: SuperOperator) -> EigenChannelBasis:
@@ -183,7 +161,7 @@ def eigenbasis(s: SuperOperator) -> EigenChannelBasis:
             "channel representation is not Hermitian; non-Hermitian walks "
             "are outside the supported class"
         )
-    decomp = hermitian_eig(s.rep, tol=1e-10)
+    decomp = hermitian_eig(s.rep)
     lambdas = decomp.eigenvalues
     if np.abs(lambdas).max() > 0.5 + 1e-12:
         raise ValidationError(
@@ -220,19 +198,6 @@ def lindblad_decompose(kraus, x=None) -> LindbladDecomposition:
     hamiltonian = 1j * (kappa - kappa.conj().T) / 2.0
     return LindbladDecomposition(
         hamiltonian=hamiltonian, dissipator_kraus=a_mats, kappa=kappa
-    )
-
-
-def lindblad_action(decomp: LindbladDecomposition, rho: np.ndarray) -> np.ndarray:
-    """Evaluate i[rho, H] + psi(rho) - {psi*(I), rho}/2 for testing."""
-    rho = np.asarray(rho, dtype=complex)
-    h = decomp.hamiltonian
-    psi_rho = sum(a @ rho @ a.conj().T for a in decomp.dissipator_kraus)
-    psi_adj_eye = sum(a.conj().T @ a for a in decomp.dissipator_kraus)
-    return (
-        1j * (rho @ h - h @ rho)
-        + psi_rho
-        - 0.5 * (psi_adj_eye @ rho + rho @ psi_adj_eye)
     )
 
 

@@ -61,13 +61,23 @@ def _matrix_from_config(rows):
     return np.array([[_complex_from_pair(v) for v in row] for row in rows])
 
 
+def _field(spec, path, block=None):
+    """Value at a dotted config path; a missing field names its full path."""
+    full = f"{block}.{path}" if block else path
+    for key in path.split("."):
+        if key not in spec:
+            raise ValidationError(f"missing field {full!r}")
+        spec = spec[key]
+    return spec
+
+
 def channel_from_config(spec) -> KrausChannel:
     if "preset" in spec:
         name = spec["preset"]
         if name == "depolarizing":
             return depolarizing(float(spec.get("s", 1.0 / 3.0)))
         if name == "pq":
-            return pq_channel(float(spec["p"]), float(spec["q"]), float(spec["r"]))
+            return pq_channel(*(float(_field(spec, k, "channel")) for k in "pqr"))
         if name == "segment_example":
             return segment_example()
         if name == "amplitude_damping":
@@ -82,14 +92,14 @@ def channel_from_config(spec) -> KrausChannel:
 
 
 def geometry_from_config(spec) -> Geometry:
-    kind = spec.get("kind")
+    kind = _field(spec, "kind", "geometry")
     if kind == "line":
         return Geometry.line()
     if kind == "half_line":
         return Geometry.half_line(spec.get("left_boundary", "absorbing"))
     if kind == "segment":
         return Geometry.segment(
-            int(spec["sites"]),
+            int(_field(spec, "sites", "geometry")),
             left=spec.get("left_boundary", "reflecting"),
             right=spec.get("right_boundary", "reflecting"),
         )
@@ -108,7 +118,7 @@ def density_from_config(spec) -> QubitDensity:
 
 
 def goal_from_config(spec) -> GoalState:
-    psi = [_complex_from_pair(v) for v in spec["psi"]]
+    psi = [_complex_from_pair(v) for v in _field(spec, "psi", "goal")]
     return GoalState.from_psi(psi)
 
 
@@ -133,17 +143,17 @@ def _clamp_probability(value: float) -> float:
 
 
 def _emit(rows, columns, meta, args):
+    # Adding 0.0 turns -0.0, which equals 0.0, into 0.0: both print as 0.
     if args.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    _FMT % row[c] if isinstance(row[c], float) else str(row[c])
-                    for c in columns
-                )
-            )
+        lines = [",".join(columns)] + [
+            ",".join(_FMT % (row[c] + 0.0) if isinstance(row[c], float)
+                     else str(row[c]) for c in columns)
+            for row in rows
+        ]
         text = "\n".join(lines) + "\n"
     else:
+        rows = [{c: v + 0.0 if isinstance(v, float) else v for c, v in row.items()}
+                for row in rows]
         doc = {"meta": meta, "series": rows}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     _write(text, args)
@@ -162,12 +172,12 @@ def _meta(config, args):
 
 
 def cmd_channel_inspect(config, args) -> int:
-    ch = channel_from_config(config["channel"])
+    ch = channel_from_config(_field(config, "channel"))
     s = superop_of(ch)
     report = {
         "representation": [[[v.real, v.imag] for v in row] for row in s.rep],
         "is_hermitian": s.is_hermitian,
-        "is_pq": detect_pq(s) is not None,
+        "is_pq": detect_pq(s),
         "normalization_residual": float(
             np.abs(sum(v.conj().T @ v for v in ch.kraus) - np.eye(2) / 2).max()
         ),
@@ -184,14 +194,14 @@ def cmd_channel_inspect(config, args) -> int:
 
 
 def cmd_prob(config, args) -> int:
-    ch = channel_from_config(config["channel"])
-    g = geometry_from_config(config["geometry"])
-    rho = density_from_config(config["density"])
+    ch = channel_from_config(_field(config, "channel"))
+    g = geometry_from_config(_field(config, "geometry"))
+    rho = density_from_config(_field(config, "density"))
     basis = eigenbasis(superop_of(ch))
-    i = int(config["sites"]["i"])
-    j = int(config["sites"]["j"])
+    i = int(_field(config, "sites.i"))
+    j = int(_field(config, "sites.j"))
     grid = time_grid_from_config(config.get("time_grid", {}))
-    goal = goal_from_config(config["goal"]) if args.mode == "state" else None
+    goal = goal_from_config(_field(config, "goal")) if args.mode == "state" else None
     rows = []
     for t in grid:
         if args.mode == "state":
@@ -205,17 +215,16 @@ def cmd_prob(config, args) -> int:
                     KernelRequest(geometry=g, lam=float(lam), i=i, j=j, t=float(t))
                 )
         rows.append(row)
-    columns = list(rows[0].keys())
-    _emit(rows, columns, _meta(config, args), args)
+    _emit(rows, list(rows[0].keys()), _meta(config, args), args)
     return 0
 
 
 def cmd_recurrence(config, args) -> int:
-    ch = channel_from_config(config["channel"])
-    g = geometry_from_config(config["geometry"])
-    rho = density_from_config(config["density"])
+    ch = channel_from_config(_field(config, "channel"))
+    g = geometry_from_config(_field(config, "geometry"))
+    rho = density_from_config(_field(config, "density"))
     basis = eigenbasis(superop_of(ch))
-    i = int(config["sites"]["i"])
+    i = int(_field(config, "sites.i"))
     verdict = recurrence_classify(basis, g, i, rho)
     rows = [
         {
@@ -233,12 +242,12 @@ def cmd_recurrence(config, args) -> int:
 
 
 def cmd_optimize(config, args) -> int:
-    ch = channel_from_config(config["channel"])
-    g = geometry_from_config(config["geometry"])
+    ch = channel_from_config(_field(config, "channel"))
+    g = geometry_from_config(_field(config, "geometry"))
     basis = eigenbasis(superop_of(ch))
-    goal = goal_from_config(config["goal"])
-    i = int(config["sites"]["i"])
-    j = int(config["sites"]["j"])
+    goal = goal_from_config(_field(config, "goal"))
+    i = int(_field(config, "sites.i"))
+    j = int(_field(config, "sites.j"))
     grid = time_grid_from_config(config.get("time_grid", {}))
     rows = []
     for t in grid:
@@ -261,13 +270,16 @@ def cmd_optimize(config, args) -> int:
 
 
 def cmd_measure(config, args) -> int:
-    g = geometry_from_config(config["geometry"])
-    lam = float(config["lambda"])
+    g = geometry_from_config(_field(config, "geometry"))
+    lam = float(_field(config, "lambda"))
+    samples = int(config.get("samples", 101))
+    if samples < 3:
+        raise ValidationError("samples must be >= 3: the two support ends are dropped")
     rows = []
     if g.kind == "line":
         sm = spectral_matrix_line(lam)
         lo, hi = sm.support
-        xs = np.linspace(lo, hi, int(config.get("samples", 101)))[1:-1]
+        xs = np.linspace(lo, hi, samples)[1:-1]
         for x in xs:
             d = sm.density(float(x))
             rows.append(
@@ -281,7 +293,7 @@ def cmd_measure(config, args) -> int:
                 rows.append({"x": float(x), "weight": float(w)})
         else:
             lo, hi = m.support
-            xs = np.linspace(lo, hi, int(config.get("samples", 101)))[1:-1]
+            xs = np.linspace(lo, hi, samples)[1:-1]
             for x in xs:
                 rows.append({"x": float(x), "density": float(m.density(float(x)))})
     _emit(rows, list(rows[0].keys()), _meta(config, args), args)
@@ -289,11 +301,11 @@ def cmd_measure(config, args) -> int:
 
 
 def cmd_oracle_compare(config, args) -> int:
-    ch = channel_from_config(config["channel"])
-    g = geometry_from_config(config["geometry"])
-    rho = density_from_config(config["density"])
+    ch = channel_from_config(_field(config, "channel"))
+    g = geometry_from_config(_field(config, "geometry"))
+    rho = density_from_config(_field(config, "density"))
     basis = eigenbasis(superop_of(ch))
-    truncation = args.truncation or 200
+    truncation = 200 if args.truncation is None else args.truncation
     times = time_grid_from_config(config.get("time_grid", {"start": 0.5,
                                                            "stop": 10.0,
                                                            "points": 5}))

@@ -13,17 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import EigenChannelBasis, KrausChannel, ValidationError, superop_of
+from .channels import KrausChannel, ValidationError, superop_of
 from .linalg import kron
 
 __all__ = [
-    "Boundary",
     "Geometry",
     "BlockTridiagonalOperator",
-    "ScalarJacobi",
     "SymmetrizerSequence",
     "assemble_generator",
-    "scalar_reduction",
     "scalar_jacobi_matrix",
     "check_symmetrizable",
 ]
@@ -110,14 +107,6 @@ class BlockTridiagonalOperator:
         return out
 
 
-@dataclass(frozen=True)
-class ScalarJacobi:
-    """One scalar chain of the block-diagonalized generator."""
-
-    lam: float
-    geometry: Geometry
-
-
 def assemble_generator(
     ch: KrausChannel,
     g: Geometry,
@@ -126,22 +115,21 @@ def assemble_generator(
 ) -> BlockTridiagonalOperator:
     """Block tridiagonal representation of the Lindblad generator Phi - I.
 
-    For line/half-line, ``truncation`` bounds the window (the line window
-    is symmetric about 0).  ``hamiltonians`` optionally maps site index to
-    a 2x2 Hermitian H_l, adding -i(H_l (x) I - I (x) conj(H_l)) on the
-    diagonal; all shipped presets leave it None.
+    ``truncation`` (at least 2) bounds the window of the line, which is
+    symmetric about 0, and of the half-line.  ``hamiltonians`` optionally
+    maps site index to a 2x2 Hermitian H_l, adding
+    -i(H_l (x) I - I (x) conj(H_l)) on the diagonal; all shipped presets
+    leave it None.
     """
     rep = superop_of(ch).rep
     eye4 = np.eye(4, dtype=rep.dtype)
+    if truncation < 2:
+        raise ValidationError("truncation must be >= 2")
     if g.kind == "segment":
         lo, hi = 0, g.sites - 1
     elif g.kind == "half_line":
-        if truncation < 2:
-            raise ValidationError("truncation must be >= 2")
         lo, hi = 0, truncation - 1
     else:
-        if truncation < 2:
-            raise ValidationError("truncation must be >= 2")
         lo, hi = -truncation, truncation
     n = hi - lo + 1
     diag = []
@@ -166,15 +154,13 @@ def assemble_generator(
     )
 
 
-def scalar_reduction(basis: EigenChannelBasis, g: Geometry) -> tuple:
-    """The four scalar Jacobi chains obtained in the channel eigenbasis."""
-    return tuple(ScalarJacobi(lam=float(l), geometry=g) for l in basis.lambdas)
+def scalar_jacobi_matrix(g: Geometry, lam: float, truncation: int = 50) -> np.ndarray:
+    """Dense matrix of the scalar chain with parameter lam on g.
 
-
-def scalar_jacobi_matrix(sj: ScalarJacobi, truncation: int = 50) -> np.ndarray:
-    """Dense matrix of one scalar chain over the same window policy."""
-    g = sj.geometry
-    lam = sj.lam
+    The window follows :func:`assemble_generator`; in the channel
+    eigenbasis the block generator splits into one such chain per
+    eigenvalue.
+    """
     if g.kind == "segment":
         n = g.sites
     elif g.kind == "half_line":

@@ -1,10 +1,11 @@
-"""Transition kernels: closed forms, quadrature oracle, and QMC probabilities.
+"""Transition kernels: closed forms, their oracles, and QMC probabilities.
 
 The scalar kernels are the classical Karlin-McGregor integrals
 P_ij(t) = int e^{-xt} Q_i Q_j dpsi, which collapse to modified Bessel
 expressions on the infinite geometries and to finite spectral sums on
-segments.  Site/state probabilities of the quantum walk combine the four
-scalar kernels through the channel eigenbasis.
+segments; the oracles recompute them by quadrature or by propagating the
+scalar chain.  Site/state probabilities of the quantum walk combine the
+four scalar kernels through the channel eigenbasis.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .channels import (
     QubitDensity,
     ValidationError,
 )
-from .generators import ABSORBING, Geometry, assemble_generator
+from .generators import ABSORBING, Geometry, assemble_generator, scalar_jacobi_matrix
 from .linalg import expm_apply, kron, unvec, vec
 from .specfun import bessel_i
 from .spectra import polynomials, scalar_measure, spectral_matrix_line
@@ -106,25 +107,24 @@ def scalar_kernel(req: KernelRequest) -> float:
     )
 
 
-def km_quadrature_oracle(req: KernelRequest, points: int = 200) -> float:
-    """Kernel via the spectral integral, independent of the Bessel path."""
+def km_quadrature_oracle(req: KernelRequest) -> float:
+    """Kernel by a path independent of :func:`scalar_kernel`.
+
+    The spectral integral by 200-point Gauss-Chebyshev quadrature on the
+    infinite geometries; on segments the (i, j) entry of e^{tJ} for the
+    chain matrix J, propagated from e_j without the spectral measure.
+    """
     g, lam, i, j, t = req.geometry, req.lam, req.i, req.j, req.t
     if g.kind == "segment":
-        m = scalar_measure(g, lam)
-        qi = polynomials(g, lam, i, m.atoms)
-        qj = polynomials(g, lam, j, m.atoms)
-        return float(np.sum(m.atom_weights * np.exp(-m.atoms * t) * qi * qj))
+        e_j = np.zeros(g.sites)
+        e_j[j] = 1.0
+        return float(expm_apply(scalar_jacobi_matrix(g, lam), t, e_j)[i])
     if g.kind == "line":
-        sm = spectral_matrix_line(lam)
-        xs, mats = sm.quadrature(points)
-        total = 0.0
-        for x, w in zip(xs, mats):
-            f1i, f2i = polynomials(g, lam, i, x)
-            f1j, f2j = polynomials(g, lam, j, x)
-            qi = np.array([f1i, f2i])
-            qj = np.array([f1j, f2j])
-            total += math.exp(-x * t) * float(qi @ w @ qj)
-        return total
+        xs, mats = spectral_matrix_line(lam).quadrature(200)
+        qi = np.array(polynomials(g, lam, i, xs))
+        qj = np.array(polynomials(g, lam, j, xs))
+        per_node = np.einsum("ak,kab,bk->k", qi, mats, qj)
+        return float(np.sum(np.exp(-xs * t) * per_node))
     m = scalar_measure(g, lam)
 
     def integrand(x):
@@ -134,7 +134,7 @@ def km_quadrature_oracle(req: KernelRequest, points: int = 200) -> float:
             * polynomials(g, lam, j, x)
         )
 
-    return m.integrate(integrand, points=points)
+    return m.integrate(integrand, points=200)
 
 
 _VEC_EYE = vec(np.eye(2, dtype=complex))

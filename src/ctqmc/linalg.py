@@ -19,7 +19,6 @@ __all__ = [
     "vec",
     "unvec",
     "hermitian_eig",
-    "expm",
     "expm_apply",
 ]
 
@@ -69,8 +68,8 @@ class HermitianEigenDecomposition:
     eigenvalues: np.ndarray
 
 
-def _jacobi_sweeps(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations on a Hermitian matrix.
+def _jacobi_sweeps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi rotations on a Hermitian matrix, at most 60 sweeps.
 
     Returns (eigenvalues, basis) with a = basis @ diag(w) @ basis*.
     """
@@ -78,7 +77,7 @@ def _jacobi_sweeps(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.
     a = a.astype(complex).copy()
     basis = np.eye(n, dtype=complex)
     scale = max(np.abs(a).max(), 1.0)
-    for _ in range(max_sweeps):
+    for _ in range(60):
         off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
         if off <= 1e-15 * scale * n:
             break
@@ -119,19 +118,19 @@ def _jacobi_sweeps(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.
     return np.diag(a).real.copy(), basis
 
 
-def hermitian_eig(h: np.ndarray, tol: float = 1e-10) -> HermitianEigenDecomposition:
+def hermitian_eig(h: np.ndarray) -> HermitianEigenDecomposition:
     """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations.
 
     Raises :class:`PreconditionError` if the input deviates from Hermitian
-    by more than ``tol`` in max-entry norm.
+    by more than 1e-10 in max-entry norm.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {h.shape}")
     dev = np.abs(h - h.conj().T).max()
-    if dev > tol:
+    if dev > 1e-10:
         raise PreconditionError(
-            f"matrix is not Hermitian: max |h - h*| = {dev:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: max |h - h*| = {dev:.3e} exceeds 1.0e-10"
         )
     w, basis = _jacobi_sweeps((h + h.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")
@@ -146,41 +145,12 @@ def hermitian_eig(h: np.ndarray, tol: float = 1e-10) -> HermitianEigenDecomposit
     return HermitianEigenDecomposition(basis=basis, eigenvalues=w)
 
 
-def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^{t a} by scaling-and-squaring a Taylor series.
-
-    The scaled norm is brought below 1/2 before summing; the series is
-    truncated once terms fall below 1e-16 relative, which certifies the
-    result at the matrix sizes used here.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    m = a * t
-    norm = np.linalg.norm(m, 1)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        m = m / (2.0 ** squarings)
-    result = np.eye(n, dtype=m.dtype)
-    term = np.eye(n, dtype=m.dtype)
-    for k in range(1, 40):
-        term = term @ m / k
-        result = result + term
-        if np.abs(term).max() <= 1e-17:
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def expm_apply(a: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     """Compute e^{t a} v with matrix-vector products only.
 
     Splits t into substeps of scaled norm <= 1/2 and applies a truncated
-    Taylor series per substep; much cheaper than a full :func:`expm` when
-    only one column of the propagator is needed.
+    Taylor series per substep; only one column of the propagator is ever
+    formed.
     """
     a = np.asarray(a)
     v = np.asarray(v).astype(np.result_type(a.dtype, v.dtype, float))

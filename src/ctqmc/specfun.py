@@ -1,9 +1,8 @@
 """Chebychev polynomials, modified Bessel functions and Gauss-Chebyshev rules.
 
-All evaluation is double precision.  The Bessel function of the first kind
-is computed by power series for small arguments and by a normalized
-downward (Miller) recurrence for large ones; an integral-representation
-quadrature serves as its independent oracle.
+All evaluation is double precision.  The modified Bessel function of the
+first kind is computed by power series for small arguments and by a
+normalized downward (Miller) recurrence for large ones.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "cheb_eval",
     "cheb_zeros",
     "bessel_i",
-    "bessel_i_quadrature",
     "bessel_laplace",
     "gauss_chebyshev",
 ]
@@ -114,22 +112,6 @@ def bessel_i(n: int, x: float) -> float:
     if x <= 20.0:
         return _bessel_i_series(n, x)
     return _bessel_i_miller(n, x)
-
-
-def bessel_i_quadrature(n: int, x: float, points: int = 512) -> float:
-    """I_n(x) from (1/pi) * integral_0^pi e^{x cos t} cos(n t) dt.
-
-    Trapezoidal quadrature: the integrand extends to a smooth periodic
-    function, so the rule converges spectrally.  This is the independent
-    oracle for :func:`bessel_i`.
-    """
-    if x < 0:
-        raise ValueError(f"bessel_i_quadrature requires x >= 0, got {x}")
-    n = abs(int(n))
-    theta = np.linspace(0.0, np.pi, points + 1)
-    f = np.exp(x * np.cos(theta)) * np.cos(n * theta)
-    h = np.pi / points
-    return float((np.sum(f) - 0.5 * (f[0] + f[-1])) * h / np.pi)
 
 
 def bessel_laplace(nu: int, alpha: float, s: float) -> float:

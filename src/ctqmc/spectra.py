@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ValidationError
-from .generators import ABSORBING, REFLECTING, Geometry, ScalarJacobi, scalar_jacobi_matrix
+from .generators import ABSORBING, REFLECTING, Geometry, scalar_jacobi_matrix
 from .linalg import hermitian_eig
 from .specfun import ChebKind, cheb_eval, gauss_chebyshev
 
@@ -103,7 +103,7 @@ def _segment_atoms_by_eigensolve(g: Geometry, lam: float):
     The measure of the chain at site 0 places weight |v_k[0]|^2 at
     x_k = -mu_k for each eigenpair (mu_k, v_k) of the chain matrix.
     """
-    m = scalar_jacobi_matrix(ScalarJacobi(lam=lam, geometry=g))
+    m = scalar_jacobi_matrix(g, lam)
     decomp = hermitian_eig(m)
     atoms = -decomp.eigenvalues
     weights = np.abs(decomp.basis[0, :]) ** 2
@@ -265,7 +265,7 @@ def duran_density(t_rep: np.ndarray, g_block: np.ndarray, x: float) -> np.ndarra
     """
     t_rep = np.asarray(t_rep, dtype=complex)
     g_block = np.asarray(g_block, dtype=complex)
-    t_eig = hermitian_eig(t_rep, tol=1e-10)
+    t_eig = hermitian_eig(t_rep)
     if t_eig.eigenvalues.min() <= 1e-12:
         raise ValidationError("off-diagonal block must be positive definite")
     if np.abs(g_block - g_block.conj().T).max() > 1e-10:

@@ -1,13 +1,15 @@
-"""Independent references for the optimizer tests.
+"""Independent references for the library's tests.
 
 ``bloch_ball_samples`` gives the points an optimum must beat, and
 ``pq_optimum`` is the closed form for PQ channels, which reads the
 eigenvalues off the P and Q blocks instead of the channel eigenbasis.
+``bessel_i_quadrature`` checks ``bessel_i`` and ``lindblad_action``
+checks ``lindblad_decompose``.
 """
 
 import numpy as np
 
-from ctqmc.channels import detect_pq
+from ctqmc.channels import LindbladDecomposition, detect_pq
 from ctqmc.kernels import KernelRequest, scalar_kernel
 
 
@@ -20,13 +22,14 @@ def bloch_ball_samples(count: int, seed: int = 20260825) -> np.ndarray:
     return pts * radii[:, None]
 
 
-def _pq_lambdas(parts):
+def _pq_lambdas(rep):
     """The four eigenvalues in the fixed PQ order (trace, population,
-    coherence-sum, coherence-difference)."""
-    lam1 = float((parts.p_part[0, 0] + parts.p_part[0, 1]).real)
-    lam2 = float((parts.p_part[0, 0] - parts.p_part[0, 1]).real)
-    lam3 = float((parts.q_part[0, 0] + parts.q_part[0, 1]).real)
-    lam4 = float((parts.q_part[0, 0] - parts.q_part[0, 1]).real)
+    coherence-sum, coherence-difference), read off the P block (entries
+    0 and 3) and the Q block (entries 1 and 2) of the representation."""
+    lam1 = float((rep[0, 0] + rep[0, 3]).real)
+    lam2 = float((rep[0, 0] - rep[0, 3]).real)
+    lam3 = float((rep[1, 1] + rep[1, 2]).real)
+    lam4 = float((rep[1, 1] - rep[1, 2]).real)
     return lam1, lam2, lam3, lam4
 
 
@@ -35,9 +38,8 @@ def pq_optimum(s, g, i, j, t, goal):
 
     The extremal values are d +- sqrt(a^2 + b^2 + c^2).
     """
-    parts = detect_pq(s)
-    assert parts is not None and np.abs(np.asarray(s.rep).imag).max() <= 1e-12
-    lam1, lam2, lam3, lam4 = _pq_lambdas(parts)
+    assert detect_pq(s) and np.abs(np.asarray(s.rep).imag).max() <= 1e-12
+    lam1, lam2, lam3, lam4 = _pq_lambdas(s.rep)
 
     def kernel(lam):
         return scalar_kernel(KernelRequest(geometry=g, lam=lam, i=i, j=j, t=t))
@@ -49,3 +51,31 @@ def pq_optimum(s, g, i, j, t, goal):
     d = 0.5 * kernel(lam1)
     return a, b, c, d
 
+
+def bessel_i_quadrature(n: int, x: float, points: int = 512) -> float:
+    """I_n(x) from (1/pi) * integral_0^pi e^{x cos t} cos(n t) dt.
+
+    Trapezoidal quadrature: the integrand extends to a smooth periodic
+    function, so the rule converges spectrally.  This is the independent
+    oracle for :func:`bessel_i`.
+    """
+    if x < 0:
+        raise ValueError(f"bessel_i_quadrature requires x >= 0, got {x}")
+    n = abs(int(n))
+    theta = np.linspace(0.0, np.pi, points + 1)
+    f = np.exp(x * np.cos(theta)) * np.cos(n * theta)
+    h = np.pi / points
+    return float((np.sum(f) - 0.5 * (f[0] + f[-1])) * h / np.pi)
+
+
+def lindblad_action(decomp: LindbladDecomposition, rho: np.ndarray) -> np.ndarray:
+    """Evaluate i[rho, H] + psi(rho) - {psi*(I), rho}/2 for testing."""
+    rho = np.asarray(rho, dtype=complex)
+    h = decomp.hamiltonian
+    psi_rho = sum(a @ rho @ a.conj().T for a in decomp.dissipator_kraus)
+    psi_adj_eye = sum(a.conj().T @ a for a in decomp.dissipator_kraus)
+    return (
+        1j * (rho @ h - h @ rho)
+        + psi_rho
+        - 0.5 * (psi_adj_eye @ rho + rho @ psi_adj_eye)
+    )

@@ -11,7 +11,6 @@ from ctqmc.channels import (
     detect_pq,
     eigenbasis,
     hamiltonian_admissibility,
-    lindblad_action,
     lindblad_decompose,
     superop_of,
 )
@@ -22,6 +21,7 @@ from ctqmc.presets import (
     pq_channel,
     segment_example,
 )
+from oracles import lindblad_action
 
 
 def test_kraus_normalization_enforced():
@@ -49,13 +49,14 @@ def test_depolarizing_representation():
 
 def test_pq_detection():
     s = superop_of(pq_channel(0.8, 0.5, 0.2))
-    parts = detect_pq(s)
-    assert parts is not None
-    assert np.abs(parts.p_part - np.array([[0.4, 0.1], [0.1, 0.4]])).max() < 1e-14
-    assert np.abs(parts.q_part - np.array([[0.25, 0.1], [0.1, 0.25]])).max() < 1e-14
+    assert detect_pq(s) is True
+    p_part = s.rep[np.ix_([0, 3], [0, 3])]
+    q_part = s.rep[np.ix_([1, 2], [1, 2])]
+    assert np.abs(p_part - np.array([[0.4, 0.1], [0.1, 0.4]])).max() < 1e-14
+    assert np.abs(q_part - np.array([[0.25, 0.1], [0.1, 0.25]])).max() < 1e-14
     # column stochastic after doubling
-    assert np.abs(2 * parts.p_part.real.sum(axis=0) - 1.0).max() < 1e-14
-    assert detect_pq(superop_of(segment_example())) is None
+    assert np.abs(2 * p_part.real.sum(axis=0) - 1.0).max() < 1e-14
+    assert detect_pq(superop_of(segment_example())) is False
 
 
 def test_eigenbasis_lambdas():

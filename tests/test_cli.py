@@ -37,6 +37,14 @@ def test_channel_inspect_lambdas(tmp_path, capsys):
     assert lams == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0.5])
 
 
+def test_channel_inspect_non_pq(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"channel": {"preset": "segment_example"}})
+    assert main(["--config", cfg, "channel-inspect"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["is_pq"] is False
+    assert report["is_hermitian"] is True
+
+
 def test_prob_csv_deterministic(tmp_path):
     cfg = write_config(tmp_path, BASE)
     out1 = tmp_path / "a.csv"
@@ -79,6 +87,22 @@ def test_optimize_command(tmp_path, capsys):
     # depolarizing: optimum is the goal projector, Bloch (-1/2, sqrt(3)/2, 0)
     assert row["x_plus"] == pytest.approx(-0.5, abs=1e-12)
     assert row["y_plus"] == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_optimize_prints_no_negative_zero(tmp_path, capsys, fmt):
+    # The antipode of |0> has y = z = -0.0, which must print as 0.
+    doc = dict(BASE, goal={"psi": [1.0, 0.0]}, sites={"i": 1, "j": 1},
+               time_grid={"start": 1.0, "stop": 1.0, "points": 1})
+    cfg = write_config(tmp_path, doc)
+    assert main(["--config", cfg, "--format", fmt, "optimize"]) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert out.splitlines()[1].split(",")[6:9] == ["-1", "0", "0"]
+    else:
+        row = json.loads(out)["series"][0]
+        assert [math.copysign(1.0, row[k]) for k in ("y_minus", "z_minus")] == [
+            1.0, 1.0]
 
 
 def test_measure_command_atoms(tmp_path, capsys):
@@ -145,21 +169,50 @@ def test_lambda_rounding_accepted(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("t,value\n")
 
 
-@pytest.mark.parametrize("case", ["bad_json", "missing_config", "wrong_type",
-                                  "unwritable_output", "overflow"])
+SEGMENT_NO_SITES = {"kind": "segment", "left_boundary": "absorbing"}
+MEASURE = {"geometry": {"kind": "half_line", "left_boundary": "absorbing"},
+           "lambda": 0.3}
+# case -> (config, subcommand argv, text the error line must contain)
+INVALID = {
+    "bad_json": (BASE, ["prob"], ""),
+    "missing_config": (BASE, ["prob"], ""),
+    "wrong_type": (dict(BASE, channel={"preset": "depolarizing", "s": "abc"}),
+                   ["prob"], ""),
+    "unwritable_output": (BASE, ["prob"], ""),
+    "overflow": (dict(BASE, geometry={"kind": "line"},
+                      time_grid={"start": 800.0, "stop": 800.0, "points": 1}),
+                 ["prob"], ""),
+    "missing_sites": ({k: v for k, v in BASE.items() if k != "sites"},
+                      ["prob"], "missing field 'sites.i'"),
+    "missing_site_j": (dict(BASE, sites={"i": 1}), ["optimize"],
+                       "missing field 'sites.j'"),
+    "missing_segment_sites": (dict(BASE, geometry=SEGMENT_NO_SITES), ["prob"],
+                              "missing field 'geometry.sites'"),
+    "missing_pq_r": (dict(BASE, channel={"preset": "pq", "p": 0.2, "q": 0.1}),
+                     ["prob"], "missing field 'channel.r'"),
+    "measure_samples_0": (dict(MEASURE, samples=0), ["measure"], "samples"),
+    "measure_samples_1": (dict(MEASURE, samples=1), ["measure"], "samples"),
+    "measure_samples_2": (dict(MEASURE, samples=2), ["measure"], "samples"),
+    "truncation_0": (BASE, ["--truncation", "0", "oracle-compare"],
+                     "truncation must be >= 2"),
+    "truncation_1": (BASE, ["--truncation", "1", "oracle-compare"],
+                     "truncation must be >= 2"),
+    "truncation_0_segment": (dict(BASE, geometry={"kind": "segment", "sites": 4},
+                                  sites={"i": 0, "j": 0}),
+                             ["--truncation", "0", "oracle-compare"],
+                             "truncation must be >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID))
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, case):
-    doc = BASE
-    if case == "wrong_type":
-        doc = dict(BASE, channel={"preset": "depolarizing", "s": "abc"})
-    elif case == "overflow":
-        doc = dict(BASE, geometry={"kind": "line"},
-                   time_grid={"start": 800.0, "stop": 800.0, "points": 1})
+    doc, command, message = INVALID[case]
     cfg = write_config(tmp_path, doc)
     if case == "bad_json":
         (tmp_path / "config.json").write_text('{"channel": {"preset": ')
     elif case == "missing_config":
         cfg = str(tmp_path / "absent.json")
-    argv = ["--config", cfg, "prob"]
+    argv = ["--config", cfg] + command
     if case == "unwritable_output":
         argv = ["--output", str(tmp_path / "no_such_dir" / "out.csv")] + argv
     assert main(argv) == 2
@@ -167,3 +220,4 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]

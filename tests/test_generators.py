@@ -4,11 +4,9 @@ import pytest
 from ctqmc.channels import ValidationError, eigenbasis, superop_of
 from ctqmc.generators import (
     Geometry,
-    ScalarJacobi,
     assemble_generator,
     check_symmetrizable,
     scalar_jacobi_matrix,
-    scalar_reduction,
 )
 from ctqmc.linalg import kron
 from ctqmc.presets import amplitude_damping, depolarizing, pq_channel
@@ -62,14 +60,13 @@ def test_scalar_reduction_block_diagonalizes():
     ch = pq_channel(5.0 / 6.0, 2.0 / 3.0, 0.0)
     g = Geometry.half_line("reflecting")
     basis = eigenbasis(superop_of(ch))
-    chains = scalar_reduction(basis, g)
     n = 6
     dense = assemble_generator(ch, g, truncation=n).dense()
     big_b = kron(np.eye(n), basis.basis)
     transformed = big_b.conj().T @ dense @ big_b
     # after conjugation the operator interleaves the four scalar chains
-    for k, sj in enumerate(chains):
-        scalar = scalar_jacobi_matrix(sj, truncation=n)
+    for k, lam in enumerate(basis.lambdas):
+        scalar = scalar_jacobi_matrix(g, float(lam), truncation=n)
         assert np.abs(transformed[k::4, k::4] - scalar).max() < 1e-12
     off = transformed.copy()
     for k in range(4):
@@ -78,8 +75,9 @@ def test_scalar_reduction_block_diagonalizes():
 
 
 def test_scalar_jacobi_matrix_boundaries():
-    sj = ScalarJacobi(lam=0.3, geometry=Geometry.segment(3, "reflecting", "absorbing"))
-    m = scalar_jacobi_matrix(sj, truncation=3)
+    m = scalar_jacobi_matrix(
+        Geometry.segment(3, "reflecting", "absorbing"), 0.3, truncation=3
+    )
     assert m[0, 0] == pytest.approx(0.3 - 1.0)
     assert m[2, 2] == pytest.approx(-1.0)
     assert m[0, 1] == pytest.approx(0.3)

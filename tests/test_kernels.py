@@ -27,6 +27,11 @@ from ctqmc.presets import (
 ABSORBING = Geometry.half_line("absorbing")
 REFLECTING = Geometry.half_line("reflecting")
 LINE = Geometry.line()
+SEGMENTS_6 = [
+    Geometry.segment(6, left, right)
+    for left in ("absorbing", "reflecting")
+    for right in ("absorbing", "reflecting")
+]
 GOAL = GoalState.from_psi([0.5, math.sqrt(3.0) / 2.0])
 
 
@@ -83,13 +88,36 @@ def test_segment_two_site_closed_form():
     )
 
 
-@pytest.mark.parametrize("g", [ABSORBING, REFLECTING, LINE])
+@pytest.mark.parametrize("g", [ABSORBING, REFLECTING, LINE] + SEGMENTS_6)
 @pytest.mark.parametrize("lam", [0.5, -0.5, 1.0 / 3.0, -1.0 / 3.0, 0.25])
 def test_kernel_matches_quadrature_oracle(g, lam):
     for i, j in ((0, 0), (1, 4), (7, 2), (10, 10)):
+        if g.kind == "segment":  # the last site stands in for the far ones
+            i, j = min(i, g.sites - 1), min(j, g.sites - 1)
         for t in (0.0, 0.7, 3.0, 10.0):
             req = KernelRequest(geometry=g, lam=lam, i=i, j=j, t=t)
             assert abs(scalar_kernel(req) - km_quadrature_oracle(req)) < 1e-10
+
+
+def test_segment_oracle_needs_no_spectral_measure(monkeypatch):
+    # The segment oracle must not share the closed form's measure or its
+    # eigensolve, or comparing the two would check nothing.
+    reqs = [
+        KernelRequest(geometry=g, lam=lam, i=i, j=j, t=t)
+        for g in SEGMENTS_6
+        for lam in (0.5, -1.0 / 3.0)
+        for i, j in ((0, 0), (0, 5), (2, 3), (5, 5))
+        for t in (0.7, 5.0)
+    ]
+    closed = [scalar_kernel(req) for req in reqs]
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the segment oracle reached the closed-form path")
+
+    monkeypatch.setattr("ctqmc.kernels.scalar_measure", unavailable)
+    monkeypatch.setattr("ctqmc.spectra.hermitian_eig", unavailable)
+    for req, want in zip(reqs, closed):
+        assert abs(km_quadrature_oracle(req) - want) < 1e-10
 
 
 def test_kernel_ordering_reflecting_line_absorbing():

@@ -8,12 +8,12 @@ import scipy.special
 from ctqmc.specfun import (
     ChebKind,
     bessel_i,
-    bessel_i_quadrature,
     bessel_laplace,
     cheb_eval,
     cheb_zeros,
     gauss_chebyshev,
 )
+from oracles import bessel_i_quadrature
 
 
 @pytest.mark.parametrize("kind", list(ChebKind))
