@@ -61,17 +61,34 @@ def _matrix_from_config(rows):
     return np.array([[_complex_from_pair(v) for v in row] for row in rows])
 
 
+def _object(spec, name):
+    """``spec`` itself, checked to be a JSON object; ``name`` is its path,
+    empty for the whole config."""
+    if not isinstance(spec, dict):
+        what = f"field {name!r}" if name else "config"
+        raise ValidationError(f"{what} must be an object, got {type(spec).__name__}")
+    return spec
+
+
 def _field(spec, path, block=None):
-    """Value at a dotted config path; a missing field names its full path."""
+    """Value at a dotted config path.
+
+    A missing field names its full path, and a block on the way that is
+    not an object names its path and the type found.
+    """
     full = f"{block}.{path}" if block else path
+    seen = [block] if block else []
     for key in path.split("."):
+        _object(spec, ".".join(seen))
         if key not in spec:
             raise ValidationError(f"missing field {full!r}")
         spec = spec[key]
+        seen.append(key)
     return spec
 
 
 def channel_from_config(spec) -> KrausChannel:
+    _object(spec, "channel")
     if "preset" in spec:
         name = spec["preset"]
         if name == "depolarizing":
@@ -107,6 +124,7 @@ def geometry_from_config(spec) -> Geometry:
 
 
 def density_from_config(spec) -> QubitDensity:
+    _object(spec, "density")
     if "preset" in spec:
         return density_preset(spec["preset"])
     if "bloch" in spec:
@@ -123,6 +141,7 @@ def goal_from_config(spec) -> GoalState:
 
 
 def time_grid_from_config(spec) -> np.ndarray:
+    _object(spec, "time_grid")
     start = float(spec.get("start", 0.0))
     stop = float(spec.get("stop", 10.0))
     points = int(spec.get("points", 11))
@@ -309,17 +328,16 @@ def cmd_oracle_compare(config, args) -> int:
     times = time_grid_from_config(config.get("time_grid", {"start": 0.5,
                                                            "stop": 10.0,
                                                            "points": 5}))
-    max_site = int(config.get("max_site", 5))
+    starts = range(int(config.get("max_site", 5)) + 1)
+    sites, blocks = evolve_oracle(ch, g, rho, starts, times, truncation=truncation)
+    offset = sites.index(0)
     rows = []
     worst = 0.0
-    for t in times:
-        for j in range(max_site + 1):
-            sites, blocks = evolve_oracle(ch, g, rho, j, float(t),
-                                          truncation=truncation)
-            offset = sites.index(0) if 0 in sites else 0
-            for i in range(max_site + 1):
+    for at_t, t in zip(blocks, times):
+        for j in starts:
+            for i in starts:
                 closed = site_probability(basis, g, rho, j, i, float(t))
-                oracle = float(np.trace(blocks[offset + i]).real)
+                oracle = float(np.trace(at_t[j, offset + i]).real)
                 err = abs(closed - oracle)
                 worst = max(worst, err)
                 rows.append({"t": float(t), "i": i, "j": j,
@@ -446,7 +464,7 @@ def main(argv=None) -> int:
         config = {}
         if args.config:
             with open(args.config) as fh:
-                config = json.load(fh)
+                config = _object(json.load(fh), "")
         return _COMMANDS[args.command](config, args)
     # Bad input: unreadable config, unwritable output, malformed JSON,
     # missing, mistyped or invalid fields, times too long to represent.

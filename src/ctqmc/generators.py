@@ -82,18 +82,40 @@ class Geometry:
 class BlockTridiagonalOperator:
     """Finite (or truncated) block tridiagonal generator.
 
-    ``window`` is the inclusive site-index range (l_min, l_max); for the
-    infinite geometries it is truncation metadata, for segments the
-    operator is exact.
+    ``diag_blocks`` stacks the diagonal blocks, shape (n_sites, d, d);
+    ``off_block`` sits on both off-diagonals.  ``window`` is the
+    inclusive site-index range (l_min, l_max); for the infinite
+    geometries it is truncation metadata, for segments the operator is
+    exact.  ``op @ x`` applies the operator block by block to a state of
+    shape (n_sites, d, k), in O(n_sites) work, and :meth:`norm1` bounds
+    its 1-norm from the blocks, so :func:`ctqmc.linalg.expm_apply`
+    propagates it without forming it; :meth:`dense` forms it for checks.
     """
 
-    diag_blocks: tuple
+    diag_blocks: np.ndarray
     off_block: np.ndarray
     window: tuple
 
     @property
     def n_sites(self) -> int:
         return self.window[1] - self.window[0] + 1
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(x) and not np.iscomplexobj(self.off_block):
+            # A real operator acts on real and imaginary parts alike, so
+            # they travel as extra real columns.
+            return (self @ np.ascontiguousarray(x).view(float)).view(complex)
+        y = self.diag_blocks @ x
+        off = self.off_block @ x
+        y[:-1] += off[1:]
+        y[1:] += off[:-1]
+        return y
+
+    def norm1(self) -> float:
+        """Bound on the 1-norm: the largest diagonal-block column sum plus
+        twice the largest off-block column sum."""
+        diag = np.abs(self.diag_blocks).sum(axis=1).max()
+        return float(diag + 2.0 * np.abs(self.off_block).sum(axis=0).max())
 
     def dense(self) -> np.ndarray:
         d = self.off_block.shape[0]
@@ -150,7 +172,7 @@ def assemble_generator(
         rep = rep.real
         diag = [b.real for b in diag]
     return BlockTridiagonalOperator(
-        diag_blocks=tuple(diag), off_block=rep, window=(lo, hi)
+        diag_blocks=np.stack(diag), off_block=rep, window=(lo, hi)
     )
 
 

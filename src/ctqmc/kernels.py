@@ -22,7 +22,7 @@ from .channels import (
     ValidationError,
 )
 from .generators import ABSORBING, Geometry, assemble_generator, scalar_jacobi_matrix
-from .linalg import expm_apply, kron, unvec, vec
+from .linalg import expm_apply, kron, vec
 from .specfun import bessel_i
 from .spectra import polynomials, scalar_measure, spectral_matrix_line
 
@@ -200,43 +200,53 @@ def evolve_oracle(
     ch: KrausChannel,
     g: Geometry,
     rho: QubitDensity,
-    j: int,
-    t: float,
+    starts,
+    times,
     truncation: int = 50,
 ):
-    """Matrix-exponential evolution of the full block generator.
+    """Matrix-exponential evolution of the truncated block generator.
 
-    Returns (sites, blocks): the site indices of the window and the
-    evolved 2x2 density blocks.  Raises when the truncation window cannot
-    contain the probability flow for horizon t.
+    Each start site j in ``starts`` is one column of a single state,
+    holding rho at site j at time 0.  The state steps through the
+    nondecreasing ``times``, each time from the previous one, by
+    :func:`expm_apply` on the block tridiagonal operator, which is never
+    formed densely.  Returns (sites, blocks): the site indices of the
+    window and the evolved 2x2 density blocks, an array indexed
+    [time, start, site].  Raises when the times decrease or are negative
+    and when the truncation window cannot contain the probability flow
+    of a start site for horizon t; (t, j) pairs are checked t outer,
+    j inner.
     """
-    if t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
+    starts = [int(j) for j in starts]
+    times = [float(t) for t in times]
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValidationError("times must be nondecreasing")
+    if times and times[0] < 0:
+        raise ValidationError(f"time must be >= 0, got {times[0]}")
     op = assemble_generator(ch, g, truncation=truncation)
     lo, hi = op.window
-    if g.kind != "segment":
+    for t in times:
         margin = window_margin(t)
-        if g.kind == "half_line" and j + margin > hi:
-            raise ValidationError(
-                f"truncation {truncation} too small: site {j} with horizon "
-                f"t={t} needs a window through site {j + margin}"
-            )
-        if g.kind == "line" and (j + margin > hi or j - margin < lo):
-            raise ValidationError(
-                f"truncation {truncation} too small: site {j} with horizon "
-                f"t={t} needs |index| up to {abs(j) + margin}"
-            )
-    if not lo <= j <= hi:
-        raise ValidationError(f"start site {j} outside window [{lo}, {hi}]")
-    dense = op.dense()
-    state = np.zeros(4 * op.n_sites, dtype=np.result_type(dense.dtype, complex))
-    state[4 * (j - lo):4 * (j - lo) + 4] = vec(rho.matrix)
-    if np.isrealobj(dense) and np.abs(state.imag).max() == 0.0:
-        state = state.real
-    evolved = expm_apply(dense, t, state)
-    sites = list(range(lo, hi + 1))
-    blocks = [
-        unvec(evolved[4 * k:4 * k + 4].astype(complex), 2, 2)
-        for k in range(op.n_sites)
-    ]
-    return sites, blocks
+        for j in starts:
+            if g.kind == "half_line" and j + margin > hi:
+                raise ValidationError(
+                    f"truncation {truncation} too small: site {j} with horizon "
+                    f"t={t} needs a window through site {j + margin}"
+                )
+            if g.kind == "line" and (j + margin > hi or j - margin < lo):
+                raise ValidationError(
+                    f"truncation {truncation} too small: site {j} with horizon "
+                    f"t={t} needs |index| up to {abs(j) + margin}"
+                )
+            if not lo <= j <= hi:
+                raise ValidationError(f"start site {j} outside window [{lo}, {hi}]")
+    state = np.zeros((op.n_sites, 4, len(starts)), dtype=complex)
+    for col, j in enumerate(starts):
+        state[j - lo, :, col] = vec(rho.matrix)
+    blocks = np.empty((len(times), len(starts), op.n_sites, 2, 2), dtype=complex)
+    now = 0.0
+    for k, t in enumerate(times):
+        state = expm_apply(op, t - now, state)
+        now = t
+        blocks[k] = state.transpose(2, 0, 1).reshape(len(starts), op.n_sites, 2, 2)
+    return list(range(lo, hi + 1)), blocks

@@ -1,8 +1,12 @@
-"""Dense complex linear algebra for small matrices.
+"""Complex linear algebra for small matrices and block-structured operators.
 
-Everything here operates on plain numpy arrays.  Matrices are small
-(4x4 blocks, or a few hundred rows for truncated lattice generators),
+Everything here operates on plain numpy arrays, except that
+:func:`expm_apply` also propagates a structured operator (such as a
+block tridiagonal generator) through its products alone.  Dense
+matrices are small (4x4 blocks, or a chain matrix of a few dozen rows),
 so simplicity and certifiable accuracy win over asymptotic speed.
+Non-finite input and unconverged iterations raise
+:class:`PreconditionError`.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ class HermitianEigenDecomposition:
 def _jacobi_sweeps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi rotations on a Hermitian matrix, at most 60 sweeps.
 
-    Returns (eigenvalues, basis) with a = basis @ diag(w) @ basis*.
+    Returns (eigenvalues, basis) with a = basis @ diag(w) @ basis*;
+    raises :class:`PreconditionError` if 60 sweeps do not converge.
     """
     n = a.shape[0]
     a = a.astype(complex).copy()
@@ -114,6 +119,8 @@ def _jacobi_sweeps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 b_q = basis[:, q].copy()
                 basis[:, p] = b_p * v_pp + b_q * v_qp
                 basis[:, q] = b_p * v_pq + b_q * v_qq
+    else:
+        raise PreconditionError("Jacobi eigensolve did not converge in 60 sweeps")
     # Clean the tiny imaginary residue on the diagonal.
     return np.diag(a).real.copy(), basis
 
@@ -121,12 +128,14 @@ def _jacobi_sweeps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def hermitian_eig(h: np.ndarray) -> HermitianEigenDecomposition:
     """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations.
 
-    Raises :class:`PreconditionError` if the input deviates from Hermitian
-    by more than 1e-10 in max-entry norm.
+    Raises :class:`PreconditionError` if the input has a non-finite entry
+    or deviates from Hermitian by more than 1e-10 in max-entry norm.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise PreconditionError("matrix has a non-finite entry")
     dev = np.abs(h - h.conj().T).max()
     if dev > 1e-10:
         raise PreconditionError(
@@ -145,26 +154,53 @@ def hermitian_eig(h: np.ndarray) -> HermitianEigenDecomposition:
     return HermitianEigenDecomposition(basis=basis, eigenvalues=w)
 
 
-def expm_apply(a: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
-    """Compute e^{t a} v with matrix-vector products only.
+def expm_apply(a, t: float, v: np.ndarray) -> np.ndarray:
+    """Compute e^{t a} v with products of a and v only.
 
-    Splits t into substeps of scaled norm <= 1/2 and applies a truncated
-    Taylor series per substep; only one column of the propagator is ever
-    formed.
+    ``a`` is a square array, with ``v`` a vector or a matrix of column
+    vectors, or a structured operator that applies itself by ``a @ v``
+    and bounds its 1-norm by ``a.norm1()``, with ``v`` of the shape it
+    acts on.  Splits t into substeps of scaled norm <= 1/2 and sums a
+    truncated Taylor series per substep until a term falls below 1e-17
+    of the sum; the propagator itself is never formed.  Raises
+    :class:`PreconditionError` on a non-finite input or when a substep
+    needs more than 40 terms.
     """
-    a = np.asarray(a)
-    v = np.asarray(v).astype(np.result_type(a.dtype, v.dtype, float))
-    m = a * t
-    norm = np.linalg.norm(m, 1)
+    v = np.asarray(v)
+    structured = hasattr(a, "norm1")
+    if structured:
+        v = v.astype(np.result_type(v.dtype, float))
+        norm = a.norm1() * abs(t)
+    else:
+        a = np.asarray(a)
+        v = v.astype(np.result_type(a.dtype, v.dtype, float))
+        m = a * t
+        norm = np.linalg.norm(m, 1)
+    if not (np.isfinite(norm) and np.isfinite(v).all()):
+        raise PreconditionError("expm_apply needs a finite operator, time and vector")
     steps = max(1, int(np.ceil(norm / 0.5)))
-    h = m / steps
+    if structured:
+        dt = t / steps
+
+        def next_term(term, k):
+            return (a @ term) * (dt / k)
+    else:
+        h = m / steps
+
+        def next_term(term, k):
+            return h @ term / k
     for _ in range(steps):
         term = v
         acc = v.copy()
         for k in range(1, 40):
-            term = h @ term / k
+            term = next_term(term, k)
             acc = acc + term
-            if np.abs(term).max() <= 1e-17 * max(1.0, np.abs(acc).max()):
+            # initial=0 lets a state without columns pass the test.
+            if np.abs(term).max(initial=0.0) <= 1e-17 * max(
+                1.0, np.abs(acc).max(initial=0.0)
+            ):
                 break
+        else:
+            raise PreconditionError("Taylor series did not converge in 40 terms")
         v = acc
     return v

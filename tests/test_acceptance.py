@@ -44,6 +44,11 @@ from oracles import bloch_ball_samples
 ABSORBING = Geometry.half_line("absorbing")
 REFLECTING = Geometry.half_line("reflecting")
 LINE = Geometry.line()
+SEGMENTS_6 = [
+    Geometry.segment(6, left, right)
+    for left in ("absorbing", "reflecting")
+    for right in ("absorbing", "reflecting")
+]
 GOAL = GoalState.from_psi([0.5, math.sqrt(3.0) / 2.0])
 
 
@@ -53,12 +58,13 @@ def test_criterion_01_closed_form_vs_matrix_exponential():
     rho = density_preset("uniform_plus")
     start = time.time()
     worst = 0.0
-    for t in (0.5, 1.0, 2.0, 5.0, 10.0):
+    times = (0.5, 1.0, 2.0, 5.0, 10.0)
+    _, blocks = evolve_oracle(ch, ABSORBING, rho, range(6), times, truncation=200)
+    for at_t, t in zip(blocks, times):
         for j in range(6):
-            _, blocks = evolve_oracle(ch, ABSORBING, rho, j, t, truncation=200)
             for i in range(6):
                 closed = site_probability(basis, ABSORBING, rho, j, i, t)
-                oracle = float(np.trace(blocks[i]).real)
+                oracle = float(np.trace(at_t[j, i]).real)
                 worst = max(worst, abs(closed - oracle))
     elapsed = time.time() - start
     assert worst <= 1e-8
@@ -97,8 +103,20 @@ def test_criterion_02_bessel_vs_quadrature():
                         KernelRequest(geometry=LINE, lam=lam, i=i, j=j, t=t)
                     )
                     worst = max(worst, abs(closed - oracle))
+        # segments: spectral sums vs the propagated chain, every end pair;
+        # the kernel is symmetric, so i <= j covers every site pair, and
+        # two times keep the per-call segment eigensolve affordable
+        for g in SEGMENTS_6:
+            for i in range(6):
+                for j in range(i, 6):
+                    for t in (0.5, 10.0):
+                        req = KernelRequest(geometry=g, lam=lam, i=i, j=j, t=t)
+                        worst = max(
+                            worst,
+                            abs(scalar_kernel(req) - km_quadrature_oracle(req)),
+                        )
     assert worst <= 1e-10
-    print(f"PASS criterion 2: Bessel vs quadrature, max err {worst:.2e}")
+    print(f"PASS criterion 2: closed forms vs quadrature, max err {worst:.2e}")
 
 
 def test_criterion_03_recurrence_integrals():
@@ -203,7 +221,8 @@ def test_criterion_07_segment_example():
     worst_lam1 = 0.0
     for t in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         for j in range(5):
-            _, blocks = evolve_oracle(ch, g, rho, j, t)
+            _, blocks = evolve_oracle(ch, g, rho, [j], [t])
+            blocks = blocks[0, 0]
             for i in range(5):
                 closed = site_probability(basis, g, rho, j, i, t)
                 worst = max(worst, abs(closed - float(np.trace(blocks[i]).real)))
@@ -318,9 +337,9 @@ def test_criterion_10_conservation_and_deficit():
     ch = identity_channel()
     worst_loss = 0.0
     for t in (1.0, 3.0):
-        _, blocks = evolve_oracle(ch, ABSORBING, density_preset("E11"), 0, t,
+        _, blocks = evolve_oracle(ch, ABSORBING, density_preset("E11"), [0], [t],
                                   truncation=120)
-        loss = 1.0 - sum(float(np.trace(blk).real) for blk in blocks)
+        loss = 1.0 - sum(float(np.trace(blk).real) for blk in blocks[0, 0])
         worst_loss = max(
             worst_loss, abs(absorption_deficit(ABSORBING, 0.5, 0, t) - loss)
         )

@@ -103,8 +103,8 @@ def test_absorption_deficit_matches_oracle_loss():
     ch = identity_channel()
     rho = density_preset("E11")
     for t in (1.0, 3.0):
-        _, blocks = evolve_oracle(ch, ABSORBING, rho, 0, t, truncation=120)
-        loss = 1.0 - sum(float(np.trace(b).real) for b in blocks)
+        _, blocks = evolve_oracle(ch, ABSORBING, rho, [0], [t], truncation=120)
+        loss = 1.0 - sum(float(np.trace(b).real) for b in blocks[0, 0])
         assert absorption_deficit(ABSORBING, 0.5, 0, t) == pytest.approx(
             loss, abs=1e-8
         )

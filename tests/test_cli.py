@@ -6,7 +6,7 @@ import pytest
 
 from ctqmc.channels import eigenbasis, superop_of
 from ctqmc.cli import main
-from ctqmc.generators import Geometry
+from ctqmc.generators import BlockTridiagonalOperator, Geometry
 from ctqmc.kernels import KernelRequest
 from ctqmc.presets import depolarizing
 
@@ -148,6 +148,21 @@ def test_oracle_compare_passes(tmp_path, capsys):
     assert meta["max_abs_error_quadrature"] <= 1e-10
 
 
+def test_oracle_compare_never_forms_the_dense_generator(tmp_path, capsys,
+                                                        monkeypatch):
+    def unavailable(self):
+        raise AssertionError("oracle-compare formed the dense generator")
+
+    monkeypatch.setattr(BlockTridiagonalOperator, "dense", unavailable)
+    for geometry in ({"kind": "line"}, BASE["geometry"],
+                     {"kind": "segment", "sites": 4}):
+        doc = dict(BASE, geometry=geometry, max_site=2,
+                   time_grid={"start": 0.5, "stop": 2.0, "points": 2})
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", cfg, "--truncation", "120", "oracle-compare"]) == 0
+    capsys.readouterr()
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {"channel": {"preset": "nonsense"}})
     assert main(["--config", cfg, "channel-inspect"]) == 2
@@ -201,6 +216,18 @@ INVALID = {
                                   sites={"i": 0, "j": 0}),
                              ["--truncation", "0", "oracle-compare"],
                              "truncation must be >= 2"),
+    # The first (t, j) pair whose flow leaves the window names itself.
+    "truncation_30_window": (
+        dict(BASE, time_grid={"start": 0.5, "stop": 10.0, "points": 5}, max_site=5),
+        ["--truncation", "30", "oracle-compare"],
+        "truncation 30 too small: site 1 with horizon t=0.5 needs a window "
+        "through site 30"),
+    "config_not_object": ([1], ["figure", "--name", "fig1"],
+                          "config must be an object, got list"),
+    "sites_not_object": (dict(BASE, sites=5), ["prob"],
+                         "field 'sites' must be an object, got int"),
+    "geometry_not_object": (dict(BASE, geometry="line"), ["prob"],
+                            "field 'geometry' must be an object, got str"),
 }
 
 

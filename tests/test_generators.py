@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctqmc.channels import ValidationError, eigenbasis, superop_of
+from ctqmc.channels import KrausChannel, ValidationError, eigenbasis, superop_of
 from ctqmc.generators import (
     Geometry,
     assemble_generator,
@@ -42,6 +42,27 @@ def test_assemble_generator_structure():
     assert np.abs(op2.dense()[:4, :4] + np.eye(4)).max() < 1e-14
     op3 = assemble_generator(ch, Geometry.line(), truncation=3)
     assert op3.window == (-3, 3)
+
+
+# S rho S* / 4 + rho / 4 for the phase gate S: a complex 4x4 block.
+PHASE = KrausChannel(kraus=(np.diag([0.5, 0.5j]), np.eye(2) / 2.0))
+
+
+@pytest.mark.parametrize("ch", [depolarizing(0.4), PHASE], ids=["real", "complex"])
+@pytest.mark.parametrize("g", [
+    Geometry.line(),
+    Geometry.half_line("reflecting"),
+    Geometry.segment(5, "absorbing", "reflecting"),
+], ids=lambda g: g.kind)
+def test_block_matvec_and_norm_bound_match_dense(ch, g):
+    op = assemble_generator(ch, g, truncation=6)
+    dense = op.dense()
+    rng = np.random.default_rng(5)
+    real = rng.normal(size=(op.n_sites, 4, 3))
+    for x in (real, real + 1j * rng.normal(size=real.shape)):
+        want = (dense @ x.reshape(-1, 3)).reshape(x.shape)
+        assert np.abs(op @ x - want).max() < 1e-14
+    assert np.linalg.norm(dense, 1) <= op.norm1() + 1e-14
 
 
 def test_generator_hamiltonian_term():

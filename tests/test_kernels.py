@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
-from ctqmc.channels import ValidationError, eigenbasis, superop_of
-from ctqmc.generators import Geometry
+from ctqmc.channels import (
+    KrausChannel,
+    QubitDensity,
+    ValidationError,
+    eigenbasis,
+    superop_of,
+)
+from ctqmc.generators import Geometry, assemble_generator
 from ctqmc.kernels import (
     GoalState,
     KernelRequest,
@@ -207,11 +214,13 @@ def test_state_probability_below_site_probability():
 def test_evolve_oracle_time_zero_and_blocks():
     ch = depolarizing(0.4)
     rho = density_preset("uniform_plus")
-    sites, blocks = evolve_oracle(ch, Geometry.segment(4), rho, 1, 0.0)
+    sites, blocks = evolve_oracle(ch, Geometry.segment(4), rho, [1], [0.0])
+    blocks = blocks[0, 0]
     assert sites == [0, 1, 2, 3]
     assert np.abs(blocks[1] - rho.matrix).max() < 1e-14
     assert all(np.abs(b).max() < 1e-14 for k, b in enumerate(blocks) if k != 1)
-    _, blocks_t = evolve_oracle(ch, Geometry.segment(4), rho, 1, 2.0)
+    _, blocks_t = evolve_oracle(ch, Geometry.segment(4), rho, [1], [2.0])
+    blocks_t = blocks_t[0, 0]
     total = sum(np.trace(b).real for b in blocks_t)
     assert total == pytest.approx(1.0, abs=1e-10)
     for b in blocks_t:
@@ -224,17 +233,59 @@ def test_evolve_oracle_matches_site_probability():
     basis = eigenbasis(superop_of(ch))
     rho = density_preset("E11")
     g = Geometry.segment(5)
-    _, blocks = evolve_oracle(ch, g, rho, 2, 3.0)
+    _, blocks = evolve_oracle(ch, g, rho, [2], [3.0])
     for i in range(5):
         assert site_probability(basis, g, rho, 2, i, 3.0) == pytest.approx(
-            float(np.trace(blocks[i]).real), abs=1e-10
+            float(np.trace(blocks[0, 0, i]).real), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("ch", [
+    depolarizing(1.0 / 3.0),
+    # S rho S* / 4 + rho / 4 for the phase gate S: a complex 4x4 block.
+    KrausChannel(kraus=(np.diag([0.5, 0.5j]), np.eye(2) / 2.0)),
+], ids=["real_block", "complex_block"])
+def test_batched_evolve_oracle_matches_expm(ch):
+    times = (0.0, 0.5, 0.5, 1.25, 3.0)
+    densities = (density_preset("E11"), QubitDensity.from_bloch(0.3, 0.4, -0.5))
+    cases = (
+        (LINE, [-2, 0, 3]),
+        (ABSORBING, [0, 1, 3]),
+        (REFLECTING, [3, 0, 1]),
+        (Geometry.segment(6, "absorbing", "reflecting"), [0, 2, 5]),
+    )
+    for g, starts in cases:
+        dense = assemble_generator(ch, g, truncation=50).dense()
+        runs = [(rho, evolve_oracle(ch, g, rho, starts, times, truncation=50))
+                for rho in densities]
+        for a, t in enumerate(times):
+            propagator = scipy.linalg.expm(t * dense)
+            for rho, (sites, blocks) in runs:
+                assert blocks.shape == (len(times), len(starts), len(sites), 2, 2)
+                for b, j in enumerate(starts):
+                    state = np.zeros(dense.shape[0], dtype=complex)
+                    k = sites.index(j)
+                    state[4 * k:4 * k + 4] = rho.matrix.reshape(-1)
+                    want = (propagator @ state).reshape(len(sites), 2, 2)
+                    assert np.abs(blocks[a, b] - want).max() <= 1e-12
+
+
+def test_evolve_oracle_without_start_sites():
+    sites, blocks = evolve_oracle(depolarizing(0.4), ABSORBING, density_preset("E11"),
+                                  [], [0.5, 1.0], truncation=40)
+    assert blocks.shape == (2, 0, len(sites), 2, 2)
+
+
+def test_evolve_oracle_rejects_decreasing_times():
+    rho = density_preset("E11")
+    with pytest.raises(ValidationError, match="nondecreasing"):
+        evolve_oracle(depolarizing(0.4), ABSORBING, rho, [0], [1.0, 0.5])
 
 
 def test_evolve_oracle_window_insufficiency():
     ch = identity_channel()
     rho = density_preset("E11")
     with pytest.raises(ValidationError):
-        evolve_oracle(ch, ABSORBING, rho, 0, 50.0, truncation=30)
+        evolve_oracle(ch, ABSORBING, rho, [0], [50.0], truncation=30)
     with pytest.raises(ValidationError):
-        evolve_oracle(ch, LINE, rho, 0, 50.0, truncation=30)
+        evolve_oracle(ch, LINE, rho, [0], [50.0], truncation=30)

@@ -56,6 +56,18 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eig_rejects_non_finite():
+    h = np.eye(3)
+    h[1, 1] = np.nan
+    with pytest.raises(PreconditionError):
+        hermitian_eig(h)
+
+
+def test_expm_apply_rejects_non_finite():
+    with pytest.raises(PreconditionError):
+        expm_apply(np.eye(2), 1.0, np.array([np.inf, 0.0]))
+
+
 def test_expm_apply_matches_expm():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(30, 30)) * 0.5
