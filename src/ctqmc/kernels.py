@@ -240,6 +240,9 @@ def evolve_oracle(
                 )
             if not lo <= j <= hi:
                 raise ValidationError(f"start site {j} outside window [{lo}, {hi}]")
+    for j in starts:  # the loop above checks them only when there are times
+        if not lo <= j <= hi:
+            raise ValidationError(f"start site {j} outside window [{lo}, {hi}]")
     state = np.zeros((op.n_sites, 4, len(starts)), dtype=complex)
     for col, j in enumerate(starts):
         state[j - lo, :, col] = vec(rho.matrix)

@@ -103,9 +103,11 @@ def test_criterion_02_bessel_vs_quadrature():
                         KernelRequest(geometry=LINE, lam=lam, i=i, j=j, t=t)
                     )
                     worst = max(worst, abs(closed - oracle))
-        # segments: spectral sums vs the propagated chain, every end pair;
-        # the kernel is symmetric, so i <= j covers every site pair, and
-        # two times keep the per-call segment eigensolve affordable
+    # segments: spectral sums vs the propagated chain, every end pair;
+    # the kernel is symmetric, so i <= j covers every site pair, and one
+    # lambda of each sign at two times keeps the per-call segment
+    # eigensolve affordable
+    for lam in (0.5, -1.0 / 3.0):
         for g in SEGMENTS_6:
             for i in range(6):
                 for j in range(i, 6):

@@ -274,6 +274,13 @@ def test_evolve_oracle_without_start_sites():
     sites, blocks = evolve_oracle(depolarizing(0.4), ABSORBING, density_preset("E11"),
                                   [], [0.5, 1.0], truncation=40)
     assert blocks.shape == (2, 0, len(sites), 2, 2)
+    sites, blocks = evolve_oracle(depolarizing(0.4), ABSORBING, density_preset("E11"),
+                                  [0, 3], [], truncation=40)
+    assert blocks.shape == (0, 2, len(sites), 2, 2)
+    for g, j in ((Geometry.segment(4), 7), (ABSORBING, -1)):
+        with pytest.raises(ValidationError, match=f"start site {j} outside window"):
+            evolve_oracle(depolarizing(0.4), g, density_preset("E11"), [j], [],
+                          truncation=40)
 
 
 def test_evolve_oracle_rejects_decreasing_times():
