@@ -20,7 +20,7 @@ from .generators import ABSORBING, Geometry
 from .kernels import GoalState, KernelRequest, _probability_row, scalar_kernel, window_margin
 from .linalg import vec
 from .specfun import bessel_laplace
-from .spectra import scalar_measure, polynomials
+from .spectra import segment_modes
 
 __all__ = [
     "RecurrenceVerdict",
@@ -58,13 +58,12 @@ def _scalar_return_integral(g: Geometry, lam: float, i: int) -> float:
     """Integral over all time of the scalar return kernel P_ii."""
     critical = abs(lam * lam - 0.25) <= _WEIGHT_THRESHOLD
     if g.kind == "segment":
-        m = scalar_measure(g, lam)
-        q = polynomials(g, lam, i, m.atoms)
-        mass = m.atom_weights * q * q
-        if np.any((np.abs(m.atoms) <= _WEIGHT_THRESHOLD) & (mass > _WEIGHT_THRESHOLD)):
+        atoms, u = segment_modes(g, lam, [i])
+        mass = u[0] ** 2
+        if np.any((np.abs(atoms) <= _WEIGHT_THRESHOLD) & (mass > _WEIGHT_THRESHOLD)):
             return math.inf
-        keep = np.abs(m.atoms) > _WEIGHT_THRESHOLD
-        return float(np.sum(mass[keep] / m.atoms[keep]))
+        keep = np.abs(atoms) > _WEIGHT_THRESHOLD
+        return float(np.sum(mass[keep] / atoms[keep]))
     if g.kind == "line":
         return math.inf if critical else _laplace_signed(0, lam)
     if g.left_boundary == ABSORBING:
@@ -115,21 +114,23 @@ def recurrence_classify(
 def absorption_deficit(g: Geometry, lam: float, j: int, t: float) -> float:
     """Probability mass absorbed at the boundary by time t.
 
-    Defined as 1 minus the windowed sum of scalar kernels from site j;
-    the window follows the Bessel-tail policy, so truncation error is far
-    below the stated 1e-8 comparisons.
+    Defined as 1 minus the sum of scalar kernels from site j.  On a
+    segment that sum runs over every site, in one pass over the modes:
+    sum_k (sum_i u_k[i]) u_k[j] e^{-t x_k}.  Elsewhere it is windowed by
+    the Bessel-tail policy, so truncation error is far below the stated
+    1e-8 comparisons.
     """
     if g.left_boundary != ABSORBING and not (
         g.kind == "segment" and g.right_boundary == ABSORBING
     ):
         raise ValidationError("absorption deficit needs an absorbing boundary")
     if g.kind == "segment":
-        hi = g.sites - 1
-    else:
-        hi = j + window_margin(t)
+        KernelRequest(geometry=g, lam=lam, i=j, j=j, t=t)  # validates the inputs
+        atoms, u = segment_modes(g, lam, range(g.sites))
+        return 1.0 - float(np.sum(u.sum(axis=0) * u[j] * np.exp(-atoms * t)))
     total = sum(
         scalar_kernel(KernelRequest(geometry=g, lam=lam, i=i, j=j, t=t))
-        for i in range(0, hi + 1)
+        for i in range(0, j + window_margin(t) + 1)
     )
     return 1.0 - total
 

@@ -328,7 +328,10 @@ def cmd_oracle_compare(config, args) -> int:
     times = time_grid_from_config(config.get("time_grid", {"start": 0.5,
                                                            "stop": 10.0,
                                                            "points": 5}))
-    starts = range(int(config.get("max_site", 5)) + 1)
+    max_site = int(config.get("max_site", 5))
+    if max_site < 0:
+        raise ValidationError("max_site must be >= 0")
+    starts = range(max_site + 1)
     sites, blocks = evolve_oracle(ch, g, rho, starts, times, truncation=truncation)
     offset = sites.index(0)
     rows = []

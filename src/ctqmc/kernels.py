@@ -2,10 +2,10 @@
 
 The scalar kernels are the classical Karlin-McGregor integrals
 P_ij(t) = int e^{-xt} Q_i Q_j dpsi, which collapse to modified Bessel
-expressions on the infinite geometries and to finite spectral sums on
-segments; the oracles recompute them by quadrature or by propagating the
-scalar chain.  Site/state probabilities of the quantum walk combine the
-four scalar kernels through the channel eigenbasis.
+expressions on the infinite geometries and to finite sums over the
+closed-form modes of every segment (no eigensolve); the oracles recompute
+them by quadrature or by propagating the scalar chain.  Site/state
+probabilities combine the four scalar kernels through the channel eigenbasis.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .channels import (
 from .generators import ABSORBING, Geometry, assemble_generator, scalar_jacobi_matrix
 from .linalg import expm_apply, kron, vec
 from .specfun import bessel_i
-from .spectra import polynomials, scalar_measure, spectral_matrix_line
+from .spectra import polynomials, scalar_measure, segment_modes, spectral_matrix_line
 
 __all__ = [
     "KernelRequest",
@@ -91,10 +91,8 @@ def scalar_kernel(req: KernelRequest) -> float:
     """Closed-form transition kernel of one scalar chain."""
     g, lam, i, j, t = req.geometry, req.lam, req.i, req.j, req.t
     if g.kind == "segment":
-        m = scalar_measure(g, lam)
-        qi = polynomials(g, lam, i, m.atoms)
-        qj = polynomials(g, lam, j, m.atoms)
-        return float(np.sum(m.atom_weights * np.exp(-m.atoms * t) * qi * qj))
+        atoms, u = segment_modes(g, lam, (i, j))
+        return float(np.sum(u[0] * u[1] * np.exp(-atoms * t)))
     arg = 2.0 * lam * t
     if g.kind == "line":
         return math.exp(-t) * _bessel_i_signed(i - j, arg)

@@ -17,7 +17,6 @@ __all__ = [
     "ChebKind",
     "QuadratureRule",
     "cheb_eval",
-    "cheb_zeros",
     "bessel_i",
     "bessel_laplace",
     "gauss_chebyshev",
@@ -53,20 +52,6 @@ def cheb_eval(kind: ChebKind, n: int, x):
     for _ in range(n - 1):
         p, p_prev = 2.0 * x * p - p_prev, p
     return p if p.ndim else float(p)
-
-
-def cheb_zeros(n: int, kind: ChebKind = ChebKind.SECOND) -> np.ndarray:
-    """Zeros of the degree-n polynomial of the given kind, ascending."""
-    if n < 1:
-        return np.array([])
-    k = np.arange(1, n + 1, dtype=float)
-    if kind is ChebKind.FIRST:
-        nodes = np.cos((2.0 * k - 1.0) * np.pi / (2.0 * n))
-    elif kind is ChebKind.SECOND:
-        nodes = np.cos(k * np.pi / (n + 1.0))
-    else:
-        nodes = np.cos((2.0 * k - 1.0) * np.pi / (2.0 * n + 1.0))
-    return np.sort(nodes)
 
 
 def _bessel_i_series(n: int, x: float) -> float:

@@ -2,10 +2,13 @@
 
 Each scalar Jacobi chain carries an orthogonality measure supported on
 [1 - 2|lam|, 1 + 2|lam|] (absolutely continuous for the infinite
-geometries, atomic for segments).  The polynomial families are Chebychev:
-second kind for an absorbing left end, third kind for a reflecting one,
-and the two-family system on the integer line.  Negative lam mirrors the
-support while the polynomial argument (1 - x)/(2 lam) keeps its sign.
+geometries, atomic for segments).  Segment atoms come from the closed-form
+modes of :func:`segment_modes` for every pair of ends; the only
+eigensolves left are the 4x4 ones of ``channels.eigenbasis`` and
+:func:`duran_density`.  The polynomial families are Chebychev: second
+kind for an absorbing left end, third kind for a reflecting one, and the
+two-family system on the integer line.  Negative lam mirrors the support
+while the polynomial argument (1 - x)/(2 lam) keeps its sign.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ValidationError
-from .generators import ABSORBING, REFLECTING, Geometry, scalar_jacobi_matrix
+from .generators import ABSORBING, REFLECTING, Geometry
 from .linalg import hermitian_eig
 from .specfun import ChebKind, cheb_eval, gauss_chebyshev
 
@@ -23,6 +26,7 @@ __all__ = [
     "ScalarMeasure",
     "SpectralMatrix2",
     "scalar_measure",
+    "segment_modes",
     "spectral_matrix_line",
     "polynomials",
     "stieltjes",
@@ -97,18 +101,38 @@ class ScalarMeasure:
         return self.integrate(lambda x: np.ones_like(np.asarray(x, float)), points)
 
 
-def _segment_atoms_by_eigensolve(g: Geometry, lam: float):
-    """Atoms and jumps of a finite chain from its tridiagonal eigensolve.
+def segment_modes(g: Geometry, lam: float, sites):
+    """Atoms and eigenvector rows of the chain on segment g, in closed form.
 
-    The measure of the chain at site 0 places weight |v_k[0]|^2 at
-    x_k = -mu_k for each eigenpair (mu_k, v_k) of the chain matrix.
+    The chain is J = -I + lam*A, with A the path adjacency carrying a 1 at
+    each reflecting end; A's eigenpairs (2 cos theta_k, u_k) are closed
+    form for all four end pairs (Yueh 2005).  Returns the ascending atoms
+    x_k = 1 - 2 lam cos theta_k and u[r, k] = u_k[sites[r]], computing
+    only the requested rows.
     """
-    m = scalar_jacobi_matrix(g, lam)
-    decomp = hermitian_eig(m)
-    atoms = -decomp.eigenvalues
-    weights = np.abs(decomp.basis[0, :]) ** 2
-    order = np.argsort(atoms)
-    return atoms[order], weights[order]
+    _validate_lambda(lam)
+    n = g.sites
+    for s in sites:
+        if not 0 <= s < n:
+            raise ValidationError(f"site index {s} outside the {n}-site segment")
+    idx = np.asarray(sites, dtype=float)
+    left, right = g.left_boundary, g.right_boundary
+    if left == right == ABSORBING:
+        theta = np.arange(1, n + 1) * (np.pi / (n + 1))
+        u = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(idx + 1.0, theta))
+    elif left == right == REFLECTING:
+        theta = np.arange(n) * (np.pi / n)
+        u = np.sqrt(2.0 / n) * np.cos(np.outer(idx + 0.5, theta))
+        u[:, 0] /= np.sqrt(2.0)
+    else:  # reflecting/absorbing; absorbing/reflecting is its mirror image
+        if left == ABSORBING:
+            idx = n - 1.0 - idx
+        theta = np.arange(1, 2 * n, 2) * (np.pi / (2 * n + 1))
+        u = np.sqrt(4.0 / (2 * n + 1)) * np.cos(np.outer(idx + 0.5, theta))
+    atoms = 1.0 - 2.0 * lam * np.cos(theta)
+    if lam < 0:  # the atoms descend with theta
+        return atoms[::-1], u[:, ::-1]
+    return atoms, u
 
 
 def scalar_measure(g: Geometry, lam: float) -> ScalarMeasure:
@@ -124,23 +148,9 @@ def scalar_measure(g: Geometry, lam: float) -> ScalarMeasure:
             "the integer line carries a 2x2 spectral matrix; "
             "use spectral_matrix_line"
         )
-    n_minus_1 = g.sites - 1  # N in the N+1-site convention
-    if g.left_boundary == REFLECTING and g.right_boundary == REFLECTING:
-        k = np.arange(0, g.sites, dtype=float)
-        atoms = 1.0 - 2.0 * lam * np.cos(k * np.pi / (n_minus_1 + 1.0))
-        weights = (1.0 + np.cos(k * np.pi / (n_minus_1 + 1.0))) / (n_minus_1 + 1.0)
-        weights[0] = 1.0 / (n_minus_1 + 1.0)
-        order = np.argsort(atoms)
-        return ScalarMeasure(
-            form=ATOMIC,
-            lam=lam,
-            geometry=g,
-            atoms=atoms[order],
-            atom_weights=weights[order],
-        )
-    atoms, weights = _segment_atoms_by_eigensolve(g, lam)
+    atoms, u = segment_modes(g, lam, [0])
     return ScalarMeasure(
-        form=ATOMIC, lam=lam, geometry=g, atoms=atoms, atom_weights=weights
+        form=ATOMIC, lam=lam, geometry=g, atoms=atoms, atom_weights=u[0] ** 2
     )
 
 

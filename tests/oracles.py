@@ -3,14 +3,17 @@
 ``bloch_ball_samples`` gives the points an optimum must beat, and
 ``pq_optimum`` is the closed form for PQ channels, which reads the
 eigenvalues off the P and Q blocks instead of the channel eigenbasis.
-``bessel_i_quadrature`` checks ``bessel_i`` and ``lindblad_action``
-checks ``lindblad_decompose``.
+``bessel_i_quadrature`` checks ``bessel_i``, ``lindblad_action``
+checks ``lindblad_decompose`` and ``segment_atoms_by_eigensolve`` checks
+the closed-form segment modes.
 """
 
 import numpy as np
 
 from ctqmc.channels import LindbladDecomposition, detect_pq
+from ctqmc.generators import scalar_jacobi_matrix
 from ctqmc.kernels import KernelRequest, scalar_kernel
+from ctqmc.linalg import hermitian_eig
 
 
 def bloch_ball_samples(count: int, seed: int = 20260825) -> np.ndarray:
@@ -79,3 +82,17 @@ def lindblad_action(decomp: LindbladDecomposition, rho: np.ndarray) -> np.ndarra
         + psi_rho
         - 0.5 * (psi_adj_eye @ rho + rho @ psi_adj_eye)
     )
+
+
+def segment_atoms_by_eigensolve(g, lam):
+    """Atoms and jumps of a finite chain from its tridiagonal eigensolve.
+
+    The measure of the chain at site 0 places weight |v_k[0]|^2 at
+    x_k = -mu_k for each eigenpair (mu_k, v_k) of the chain matrix.
+    """
+    m = scalar_jacobi_matrix(g, lam)
+    decomp = hermitian_eig(m)
+    atoms = -decomp.eigenvalues
+    weights = np.abs(decomp.basis[0, :]) ** 2
+    order = np.argsort(atoms)
+    return atoms[order], weights[order]

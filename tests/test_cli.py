@@ -222,6 +222,8 @@ INVALID = {
         ["--truncation", "30", "oracle-compare"],
         "truncation 30 too small: site 1 with horizon t=0.5 needs a window "
         "through site 30"),
+    "max_site_negative": (dict(BASE, max_site=-1), ["oracle-compare"],
+                          "max_site must be >= 0"),
     "config_not_object": ([1], ["figure", "--name", "fig1"],
                           "config must be an object, got list"),
     "sites_not_object": (dict(BASE, sites=5), ["prob"],

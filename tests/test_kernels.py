@@ -108,7 +108,7 @@ def test_kernel_matches_quadrature_oracle(g, lam):
 
 def test_segment_oracle_needs_no_spectral_measure(monkeypatch):
     # The segment oracle must not share the closed form's measure or its
-    # eigensolve, or comparing the two would check nothing.
+    # modes, nor an eigensolve, or comparing the two would check nothing.
     reqs = [
         KernelRequest(geometry=g, lam=lam, i=i, j=j, t=t)
         for g in SEGMENTS_6
@@ -122,6 +122,7 @@ def test_segment_oracle_needs_no_spectral_measure(monkeypatch):
         raise AssertionError("the segment oracle reached the closed-form path")
 
     monkeypatch.setattr("ctqmc.kernels.scalar_measure", unavailable)
+    monkeypatch.setattr("ctqmc.kernels.segment_modes", unavailable)
     monkeypatch.setattr("ctqmc.spectra.hermitian_eig", unavailable)
     for req, want in zip(reqs, closed):
         assert abs(km_quadrature_oracle(req) - want) < 1e-10

@@ -10,7 +10,6 @@ from ctqmc.specfun import (
     bessel_i,
     bessel_laplace,
     cheb_eval,
-    cheb_zeros,
     gauss_chebyshev,
 )
 from oracles import bessel_i_quadrature
@@ -37,14 +36,6 @@ def test_cheb_known_values():
     assert cheb_eval(ChebKind.THIRD, 4, 0.3) == pytest.approx(
         cheb_eval(ChebKind.SECOND, 4, 0.3) - cheb_eval(ChebKind.SECOND, 3, 0.3)
     )
-
-
-@pytest.mark.parametrize("kind", list(ChebKind))
-def test_cheb_zeros(kind):
-    for n in (1, 4, 9):
-        z = cheb_zeros(n, kind)
-        assert len(z) == n
-        assert np.abs(cheb_eval(kind, n, z)).max() < 1e-10
 
 
 @pytest.mark.parametrize("x", [0.0, 0.1, 1.0, 5.0, 19.9, 20.1, 50.0, 200.0])

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from ctqmc.channels import ValidationError, eigenbasis, superop_of
-from ctqmc.generators import Geometry
+from ctqmc.analysis import absorption_deficit, recurrence_classify
+from ctqmc.channels import QubitDensity, ValidationError, eigenbasis, superop_of
+from ctqmc.generators import Geometry, scalar_jacobi_matrix
+from ctqmc.kernels import KernelRequest, scalar_kernel
 from ctqmc.linalg import kron
-from ctqmc.presets import pq_channel
+from ctqmc.presets import depolarizing, pq_channel
 from ctqmc.spectra import (
     duran_density,
     polynomials,
     scalar_measure,
+    segment_modes,
     spectral_matrix_line,
     stieltjes,
     stieltjes_closed_form,
 )
+from oracles import segment_atoms_by_eigensolve
 
 ABSORBING = Geometry.half_line("absorbing")
 REFLECTING = Geometry.half_line("reflecting")
@@ -68,16 +72,50 @@ def test_segment_atom_weights_sum_to_one(sites, ends):
 
 def test_segment_reflecting_closed_form_vs_eigensolve():
     # the printed atoms/jumps must agree with the generic eigensolve route
-    from ctqmc.spectra import _segment_atoms_by_eigensolve
-
     g = Geometry.segment(6)
     for lam in (0.4, -0.25):
         m = scalar_measure(g, lam)
-        atoms, weights = _segment_atoms_by_eigensolve(g, lam)
+        atoms, weights = segment_atoms_by_eigensolve(g, lam)
         assert np.abs(np.sort(m.atoms) - np.sort(atoms)).max() < 1e-10
         assert np.abs(
             m.atom_weights[np.argsort(m.atoms)] - weights[np.argsort(atoms)]
         ).max() < 1e-10
+
+
+END_PAIRS = [("absorbing", "absorbing"), ("reflecting", "reflecting"),
+             ("reflecting", "absorbing"), ("absorbing", "reflecting")]
+
+
+@pytest.mark.parametrize("sites", [2, 3, 7, 30, 51])
+@pytest.mark.parametrize("ends", END_PAIRS)
+def test_segment_modes_match_eigensolve(sites, ends):
+    g = Geometry.segment(sites, *ends)
+    for lam in (0.5, -0.5, 1.0 / 3.0, -1.0 / 3.0, 0.25):
+        atoms, u = segment_modes(g, lam, range(sites))
+        j = scalar_jacobi_matrix(g, lam)
+        assert np.abs(j @ u - u * -atoms).max() <= 1e-12
+        assert np.abs(u.T @ u - np.eye(sites)).max() <= 1e-12
+        assert np.all(np.diff(atoms) > 0)
+        want_atoms, want_weights = segment_atoms_by_eigensolve(g, lam)
+        assert np.abs(atoms - want_atoms).max() <= 1e-10
+        assert np.abs(u[0] ** 2 - want_weights).max() <= 1e-10
+
+
+def test_segment_paths_need_no_eigensolve(monkeypatch):
+    basis = eigenbasis(superop_of(depolarizing(1.0 / 3.0)))
+    rho = QubitDensity.from_bloch(0.0, 0.0, 1.0)
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("a segment path ran an eigensolve")
+
+    monkeypatch.setattr("ctqmc.spectra.hermitian_eig", unavailable)
+    for ends in END_PAIRS:
+        g = Geometry.segment(7, *ends)
+        scalar_kernel(KernelRequest(geometry=g, lam=-1.0 / 3.0, i=1, j=4, t=2.0))
+        scalar_measure(g, 0.5)
+        recurrence_classify(basis, g, 3, rho)
+        if "absorbing" in ends:
+            absorption_deficit(g, 0.25, 2, 1.5)
 
 
 def test_segment_absorbing_abscissas():
