@@ -4,7 +4,7 @@ The scalar kernels are the classical Karlin-McGregor integrals
 P_ij(t) = int e^{-xt} Q_i Q_j dpsi, which collapse to modified Bessel
 expressions on the infinite geometries and to finite sums over the
 closed-form modes of every segment (no eigensolve); the oracles recompute
-them by quadrature or by propagating the scalar chain.  Site/state
+them by quadrature or by the scalar chain's matrix exponential.  Site/state
 probabilities combine the four scalar kernels through the channel eigenbasis.
 """
 
@@ -110,13 +110,15 @@ def km_quadrature_oracle(req: KernelRequest) -> float:
 
     The spectral integral by 200-point Gauss-Chebyshev quadrature on the
     infinite geometries; on segments the (i, j) entry of e^{tJ} for the
-    chain matrix J, propagated from e_j without the spectral measure.
+    chain matrix J, by scaling and squaring, without the spectral measure.
     """
     g, lam, i, j, t = req.geometry, req.lam, req.i, req.j, req.t
     if g.kind == "segment":
-        e_j = np.zeros(g.sites)
-        e_j[j] = 1.0
-        return float(expm_apply(scalar_jacobi_matrix(g, lam), t, e_j)[i])
+        # One Taylor step of scaled norm < 1/2, then s squarings: O(log t).
+        chain = scalar_jacobi_matrix(g, lam)
+        s = max(0, math.frexp(2.0 * t * np.linalg.norm(chain, 1))[1])
+        step = expm_apply(chain, t / 2.0**s, np.eye(g.sites))
+        return float(np.linalg.matrix_power(step, 2**s)[i, j])
     if g.kind == "line":
         xs, mats = spectral_matrix_line(lam).quadrature(200)
         qi = np.array(polynomials(g, lam, i, xs))

@@ -1,7 +1,7 @@
 """Property tests of the segment kernels over random sizes, ends, lambda and t.
 
 ``scipy.linalg.expm`` of the chain matrix is the reference; it shares no
-code with the closed-form modes.
+code with the closed-form modes or with the squaring segment oracle.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ctqmc.analysis import absorption_deficit
 from ctqmc.generators import Geometry, scalar_jacobi_matrix
-from ctqmc.kernels import KernelRequest, scalar_kernel
+from ctqmc.kernels import KernelRequest, km_quadrature_oracle, scalar_kernel
 
 END_PAIRS = [("absorbing", "absorbing"), ("reflecting", "reflecting"),
              ("reflecting", "absorbing"), ("absorbing", "reflecting")]
@@ -38,6 +38,15 @@ def test_segment_kernel_matches_expm(case, lam, t):
     g, i, j = case
     want = scipy.linalg.expm(t * scalar_jacobi_matrix(g, lam))[i, j]
     assert abs(kernel(g, lam, i, j, t) - want) <= 1e-12
+
+
+@PROPERTY
+@given(segment_sites(), LAMBDAS, TIMES)
+def test_segment_oracle_matches_expm(case, lam, t):
+    g, i, j = case
+    want = scipy.linalg.expm(t * scalar_jacobi_matrix(g, lam))[i, j]
+    req = KernelRequest(geometry=g, lam=lam, i=i, j=j, t=t)
+    assert abs(km_quadrature_oracle(req) - want) <= 1e-12
 
 
 @PROPERTY
